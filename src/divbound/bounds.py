@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NonMonotoneGenerator
-from .extreal import INF
+from .extreal import INF, UP, encode_extended
 from .generator import Generator, is_builtin
 
 METHOD_NUMERIC = "numeric-inversion"
@@ -75,17 +75,11 @@ class TvCertificate:
             raise DomainError(f"unknown certificate method {self.method!r}")
 
     def to_json_dict(self, precision: int | None = None) -> dict:
-        def encode(x: float):
-            if math.isinf(x):
-                return "inf"
-            if precision is not None:
-                return float(f"{x:.{precision}g}")
-            return float(x)
-
+        """JSON fields; with a precision the bound prints rounded up."""
         return {
             "divergence": self.divergence_name,
-            "value": encode(self.divergence_value),
-            "tv_upper_bound": encode(self.tv_upper_bound),
+            "value": encode_extended(self.divergence_value, precision),
+            "tv_upper_bound": encode_extended(self.tv_upper_bound, precision, UP),
             "method": self.method,
         }
 
@@ -182,14 +176,15 @@ def bretagnolle_huber(sh: float) -> tuple[float, float]:
     Returns ``(tight, loose)`` with tight = 2*sqrt(1 - exp(-sh)) and
     loose = 2*sqrt(sh), both capped at 2; tight <= loose always.  The
     tight form is exactly the closed-form inversion of
-    phi(t) = -log(1 - t^2).
+    phi(t) = -log(1 - t^2).  Both are raised by one ULP, except at 0
+    and at the cap, so float64 roundoff never leaves them below the
+    exact values.
     """
     sh = float(sh)
     if math.isnan(sh) or sh < 0.0:
         raise DomainError(f"divergence values are nonnegative, got {sh!r}")
-    tight = 2.0 * math.sqrt(max(0.0, 1.0 - math.exp(-sh)))
-    loose = 2.0 * math.sqrt(sh)
-    return min(tight, 2.0), min(loose, 2.0)
+    tight, loose = 2.0 * math.sqrt(-math.expm1(-sh)), 2.0 * math.sqrt(sh)
+    return tuple(math.nextafter(x, 2.0) if 0.0 < x < 2.0 else min(x, 2.0) for x in (tight, loose))
 
 
 def bretagnolle_huber_certificate(sh: float) -> TvCertificate:

@@ -4,15 +4,15 @@ Subcommands: compute, bound, invert, verify, scan, decompose.  Measures
 come from JSON or CSV files in the formats of :mod:`divbound.measure`.
 Exit codes: 0 success, 2 usage or parse errors, 3 domain violations.
 Floating-point output uses 9 significant digits unless overridden with
---precision or the DIVBOUND_PRECISION environment variable; "inf" is the
-textual form of +infinity everywhere.
+--precision or the DIVBOUND_PRECISION environment variable; upper bounds
+print rounded up, divergence floors rounded down, everything else to
+nearest.  "inf" is the textual form of +infinity everywhere.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -25,7 +25,7 @@ from .errors import (
     NonMonotoneGenerator,
     UnknownGenerator,
 )
-from .extreal import format_extended, parse_extended
+from .extreal import DOWN, encode_extended, format_extended, parse_extended
 from .generator import builtin
 from .jointrange import scan_binary, scan_to_csv, verify_bound
 from .measure import hahn_jordan, read_probability_measure, read_signed_measure
@@ -112,33 +112,25 @@ def _resolve_precision(args: argparse.Namespace) -> int:
     return value
 
 
-def _encode(x: float, precision: int):
-    if math.isinf(x):
-        return "inf"
-    return float(f"{x:.{precision}g}")
+def _print_value(args: argparse.Namespace, fields: dict, key: str, value: float,
+                 precision: int, rounding: str | None = None) -> int:
+    if args.format == "json":
+        print(json.dumps({**fields, key: encode_extended(value, precision, rounding)}))
+    else:
+        print(format_extended(value, precision, rounding))
+    return 0
 
 
 def _cmd_compute(args: argparse.Namespace, precision: int) -> int:
     gen = builtin(args.gen)
-    mu = read_probability_measure(args.mu)
-    nu = read_probability_measure(args.nu)
-    value = d_f(gen, mu, nu).value
-    if args.format == "json":
-        print(json.dumps({"divergence": gen.name, "value": _encode(value, precision)}))
-    else:
-        print(format_extended(value, precision))
-    return 0
+    value = d_f(gen, read_probability_measure(args.mu), read_probability_measure(args.nu)).value
+    return _print_value(args, {"divergence": gen.name}, "value", value, precision)
 
 
 def _cmd_bound(args: argparse.Namespace, precision: int) -> int:
     gen = builtin(args.gen)
-    value = lower_bound(gen, args.tv)
-    if args.format == "json":
-        print(json.dumps({"divergence": gen.name, "tv": args.tv,
-                          "lower_bound": _encode(value, precision)}))
-    else:
-        print(format_extended(value, precision))
-    return 0
+    return _print_value(args, {"divergence": gen.name, "tv": args.tv}, "lower_bound",
+                        lower_bound(gen, args.tv), precision, DOWN)
 
 
 def _cmd_invert(args: argparse.Namespace, precision: int) -> int:
@@ -176,9 +168,9 @@ def _cmd_decompose(args: argparse.Namespace, precision: int) -> int:
             "negative_set": [a for a in nu.atoms if a in parts.negative_set],
             "upper": parts.upper.to_json_dict(),
             "lower": parts.lower.to_json_dict(),
-            "upper_total": _encode(upper_total, precision),
-            "lower_total": _encode(lower_total, precision),
-            "total_variation": _encode(upper_total + lower_total, precision),
+            "upper_total": encode_extended(upper_total, precision),
+            "lower_total": encode_extended(lower_total, precision),
+            "total_variation": encode_extended(upper_total + lower_total, precision),
         }))
     return 0
 
@@ -209,10 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _DISPATCH[args.command](args, precision)
-    except (InvalidMeasure, UnknownGenerator) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InvalidMeasure, UnknownGenerator, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AbsoluteContinuityViolation, DomainError, NonMonotoneGenerator) as exc:

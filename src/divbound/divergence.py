@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AbsoluteContinuityViolation
 from .generator import Generator, builtin
-from .measure import ProbabilityMeasure, align
+from .measure import ProbabilityMeasure, _carrier, align
 
 _NONNEG_CLAMP = 1e-12
 
@@ -52,15 +51,25 @@ def density_ratio(
     not.
     """
     ids, a, b = align(mu, nu)
-    ratios: list[tuple[str, float]] = []
-    for atom, mi, ni in zip(ids, a, b):
-        ni = float(ni)
-        mi = float(mi)
-        if ni > 0.0:
-            ratios.append((atom, mi / ni))
-        elif mi > 0.0:
-            raise AbsoluteContinuityViolation(atom)
-    return ratios
+    carrier = _carrier(ids, a, b)
+    ratios = (a[carrier] / b[carrier]).tolist()
+    return [(ids[i], r) for i, r in zip(np.flatnonzero(carrier).tolist(), ratios)]
+
+
+def _divergence_rows(f: Generator, a: np.ndarray, b: np.ndarray):
+    """Exact sum of b_i * f(a_i / b_i) over the atoms with b_i > 0.
+
+    Takes one aligned pair as 1-D arrays, giving a float, or one pair per
+    row of 2-D arrays, giving an array of per-row sums.
+    """
+    carrier = b > 0.0
+    nw = b[carrier]
+    terms = nw * f.eval_array(a[carrier] / nw)
+    if b.ndim == 1:
+        return math.fsum(terms.tolist())
+    rows = np.zeros(b.shape)
+    rows[carrier] = terms
+    return np.fromiter(map(math.fsum, rows.tolist()), np.float64, len(rows))
 
 
 def d_f(f: Generator, mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> DivergenceValue:
@@ -70,13 +79,8 @@ def d_f(f: Generator, mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> Diverge
     roundoff below zero are clamped to 0.
     """
     ids, a, b = align(mu, nu)
-    carrier = b > 0.0
-    orphaned = ~carrier & (a > 0.0)
-    if orphaned.any():
-        raise AbsoluteContinuityViolation(ids[int(np.argmax(orphaned))])
-    nw = b[carrier]
-    ratios = a[carrier] / nw
-    total = math.fsum(nw * f.eval_array(ratios))
+    _carrier(ids, a, b)
+    total = _divergence_rows(f, a, b)
     if -_NONNEG_CLAMP <= total < 0.0:
         total = 0.0
     return DivergenceValue(total, f.name)

@@ -10,8 +10,11 @@ and output of this package.
 from __future__ import annotations
 
 import math
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 INF = math.inf
+UP = ROUND_CEILING
+DOWN = ROUND_FLOOR
 
 
 def is_finite(x: float) -> bool:
@@ -35,9 +38,30 @@ def parse_extended(text: str) -> float:
     return value
 
 
-def format_extended(x: float, precision: int = 9) -> str:
-    """Render a value with the given number of significant digits, or ``"inf"``."""
+def format_extended(x: float, precision: int = 9, rounding: str | None = None) -> str:
+    """Render a value with the given number of significant digits, or ``"inf"``.
+
+    ``rounding`` is None (to nearest), ``UP`` (for upper bounds) or
+    ``DOWN`` (for floors).  Directed rounding keeps the nearest result
+    unless it lies on the wrong side of ``x``.
+    """
     x = float(x)
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    return f"{x:.{int(precision)}g}"
+    precision = int(precision)
+    text = f"{x:.{precision}g}"
+    if rounding is None or (float(text) >= x if rounding == UP else float(text) <= x):
+        return text
+    d = Context(prec=precision, rounding=rounding).normalize(Decimal(x))
+    exp = d.adjusted()
+    if -4 <= exp < precision:  # the layout of float's "g" format
+        return f"{d:f}"
+    return f"{d.scaleb(-exp):f}e{exp:+03d}"
+
+
+def encode_extended(x: float, precision: int | None = None, rounding: str | None = None):
+    """JSON form of a value: ``"inf"``, the exact float, or the float of its printed form."""
+    x = float(x)
+    if precision is not None and math.isfinite(x):
+        x = float(format_extended(x, precision, rounding))  # may round past the largest float
+    return format_extended(x) if math.isinf(x) else x

@@ -91,7 +91,7 @@ def _pearson(x):
 
 
 def _shannon(x):
-    return -np.log(x)
+    return 0.0 - np.log(x)  # +0.0 at x = 1, where -np.log(x) gives -0.0
 
 
 _BUILTINS: dict[str, Generator] = {

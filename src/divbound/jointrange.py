@@ -17,10 +17,10 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .bounds import invert, lower_bound, phi
-from .divergence import d_f
+from .bounds import invert, lower_bound
+from .divergence import _divergence_rows, d_f
 from .errors import DomainError
-from .extreal import format_extended
+from .extreal import UP, encode_extended, format_extended
 from .generator import Generator
 from .measure import ProbabilityMeasure, tv_distance
 
@@ -60,18 +60,12 @@ class VerificationReport:
         return self.max_violation <= 1e-9
 
     def to_json_dict(self, precision: int | None = None) -> dict:
-        def encode(x: float):
-            if math.isinf(x):
-                return "inf"
-            if precision is not None:
-                return float(f"{x:.{precision}g}")
-            return float(x)
-
+        """JSON fields; with a precision the violation prints rounded up."""
         mu, nu = self.worst_pair
         return {
             "generator": self.generator_name,
             "trials": self.trials,
-            "max_violation": encode(self.max_violation),
+            "max_violation": encode_extended(self.max_violation, precision, UP),
             "seed": self.seed,
             "passed": self.passed,
             "worst_pair": {"mu": mu.to_json_dict(), "nu": nu.to_json_dict()},
@@ -102,13 +96,16 @@ def random_pair(n: int, seed: int) -> tuple[ProbabilityMeasure, ProbabilityMeasu
     return ProbabilityMeasure(atoms, mu_w), ProbabilityMeasure(atoms, nu_w)
 
 
-def _binary_divergence(f: Generator, p: float, q: float) -> float:
-    # Bernoulli(p) against Bernoulli(q), q interior; matches d_f termwise.
-    return q * f(p / q) + (1.0 - q) * f((1.0 - p) / (1.0 - q))
+def _open_grid(resolution: int) -> np.ndarray:
+    resolution = int(resolution)
+    if resolution < 2:
+        raise DomainError("resolution must be at least 2")
+    return np.arange(1, resolution + 1) / (resolution + 1.0)
 
 
-def _open_grid(resolution: int) -> list[float]:
-    return [(i + 1) / (resolution + 1.0) for i in range(resolution)]
+def _bernoulli(p) -> np.ndarray:
+    # the weights (p, 1 - p), one row per entry of p
+    return np.stack([p, 1.0 - p], axis=-1)
 
 
 def scan_binary(f: Generator, resolution: int) -> list[ScanRecord]:
@@ -118,22 +115,15 @@ def scan_binary(f: Generator, resolution: int) -> list[ScanRecord]:
     records tv = 2|p - q|, the divergence, the bound phi(tv/2), and the
     slack between them.
     """
-    resolution = int(resolution)
-    if resolution < 2:
-        raise DomainError("resolution must be at least 2")
     grid = _open_grid(resolution)
-    records: list[ScanRecord] = []
-    for p in grid:
-        for q in grid:
-            t = 2.0 * abs(p - q)
-            div = _binary_divergence(f, p, q)
-            floor = phi(f, t / 2.0)
-            if math.isinf(div) and math.isinf(floor):
-                slack = 0.0
-            else:
-                slack = div - floor
-            records.append(ScanRecord(p, q, t, div, floor, slack))
-    return records
+    p, q = np.repeat(grid, grid.size), np.tile(grid, grid.size)
+    t = np.abs(p - q)
+    div = _divergence_rows(f, _bernoulli(p), _bernoulli(q))
+    floor = f.eval_array(1.0 + t) + f.eval_array(1.0 - t)
+    with np.errstate(invalid="ignore"):
+        slack = np.where(np.isinf(div) & np.isinf(floor), 0.0, div - floor)
+    columns = (p, q, 2.0 * t, div, floor, slack)
+    return [ScanRecord(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def verify_bound(
@@ -189,18 +179,13 @@ def tightness_gap(
     d_target = float(d_target)
     if math.isnan(d_target) or math.isinf(d_target) or d_target < 0.0:
         raise DomainError(f"divergence budget must be finite and nonnegative, got {d_target!r}")
-    resolution = int(resolution)
-    if resolution < 2:
-        raise DomainError("resolution must be at least 2")
+    qs = _open_grid(resolution)
     certified = invert(f, d_target).tv_upper_bound
-    qs = np.array(_open_grid(resolution))
+    rows_q = _bernoulli(qs)
     achieved = 0.0
     for p in qs:
-        with np.errstate(all="ignore"):
-            div = qs * f.eval_array(p / qs) + (1.0 - qs) * f.eval_array((1.0 - p) / (1.0 - qs))
-        feasible = div <= d_target
-        if feasible.any():
-            achieved = max(achieved, float(np.max(2.0 * np.abs(p - qs[feasible]))))
+        div = _divergence_rows(f, np.broadcast_to(_bernoulli(p), rows_q.shape), rows_q)
+        achieved = max(achieved, float(np.max(2.0 * np.abs(p - qs[div <= d_target]), initial=0.0)))
     return certified, achieved, certified - achieved
 
 

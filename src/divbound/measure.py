@@ -21,9 +21,11 @@ bit.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -65,7 +67,10 @@ class SignedMeasure:
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_index", {a: i for i, a in enumerate(atoms)})
+
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        return {a: i for i, a in enumerate(self.atoms)}
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, float]]) -> "SignedMeasure":
@@ -83,8 +88,7 @@ class SignedMeasure:
     __hash__ = None  # compared by value, not meant for hashing
 
     def items(self) -> Iterator[tuple[str, float]]:
-        for a, w in zip(self.atoms, self.weights):
-            yield a, float(w)
+        return zip(self.atoms, self.weights.tolist())
 
     def weight(self, atom: str) -> float:
         """Weight of one atom; atoms outside the support carry weight 0."""
@@ -93,16 +97,7 @@ class SignedMeasure:
 
     def total(self, within: Iterable[str] | None = None) -> float:
         """Measure of a subset of the support (the whole support by default)."""
-        if within is None:
-            selected = self.weights
-        else:
-            keys = set(within)
-            selected = [w for a, w in zip(self.atoms, self.weights) if a in keys]
-        # plain accumulation in atom order; see module docstring
-        acc = 0.0
-        for w in selected:
-            acc += float(w)
-        return acc
+        return _ordered_sum(_selected(self, within))
 
     def __sub__(self, other: "SignedMeasure") -> "SignedMeasure":
         if not isinstance(other, SignedMeasure):
@@ -170,12 +165,23 @@ class HahnDecomposition:
             raise InvalidMeasure("upper and lower parts must share the support")
         if np.any(self.upper.weights < 0.0) or np.any(self.lower.weights < 0.0):
             raise InvalidMeasure("upper and lower parts must be nonnegative")
-        for atom, w in self.upper.items():
-            if w != 0.0 and atom not in self.positive_set:
-                raise InvalidMeasure("upper part must vanish outside the positive set")
-        for atom, w in self.lower.items():
-            if w != 0.0 and atom not in self.negative_set:
-                raise InvalidMeasure("lower part must vanish outside the negative set")
+        if np.any(_selected(self.upper, self.negative_set)):
+            raise InvalidMeasure("upper part must vanish outside the positive set")
+        if np.any(_selected(self.lower, self.positive_set)):
+            raise InvalidMeasure("lower part must vanish outside the negative set")
+
+
+def _selected(m: SignedMeasure, within: Iterable[str] | None) -> np.ndarray:
+    # weights of the atoms in ``within`` (all atoms by default), in atom order
+    if within is None:
+        return m.weights
+    keys = set(within)
+    return m.weights[np.array([a in keys for a in m.atoms], dtype=bool)]
+
+
+def _ordered_sum(values: np.ndarray) -> float:
+    # plain left-to-right accumulation in atom order; see module docstring
+    return functools.reduce(operator.add, values.tolist(), 0.0)
 
 
 def align(
@@ -188,10 +194,21 @@ def align(
     """
     if a.atoms == b.atoms:
         return a.atoms, a.weights, b.weights
-    ids = list(a.atoms) + [x for x in b.atoms if x not in a._index]
-    wa = np.array([a.weight(x) for x in ids], dtype=np.float64)
-    wb = np.array([b.weight(x) for x in ids], dtype=np.float64)
-    return tuple(ids), wa, wb
+    index = dict(a._index)
+    where_b = [index.setdefault(x, len(index)) for x in b.atoms]
+    wa = np.concatenate([a.weights, np.zeros(len(index) - len(a))])
+    wb = np.zeros(len(index))
+    wb[where_b] = b.weights
+    return tuple(index), wa, wb
+
+
+def _carrier(ids: tuple[str, ...], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the atoms with b-mass; raises at the first atom where only a has mass."""
+    carrier = b > 0.0
+    orphaned = ~carrier & (a > 0.0)
+    if orphaned.any():
+        raise AbsoluteContinuityViolation(ids[int(np.argmax(orphaned))])
+    return carrier
 
 
 def hahn_jordan(nu: SignedMeasure) -> HahnDecomposition:
@@ -224,10 +241,7 @@ def tv_distance(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> float:
     Equals twice the largest discrepancy |mu(B) - nu(B)| over subsets B.
     """
     _, a, b = align(mu, nu)
-    acc = 0.0
-    for x, y in zip(a, b):
-        acc += abs(float(x) - float(y))
-    return acc
+    return _ordered_sum(np.abs(a - b))
 
 
 def tv_via_density(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> float:
@@ -237,15 +251,9 @@ def tv_via_density(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> float:
     :func:`tv_distance` whenever it is defined.
     """
     ids, a, b = align(mu, nu)
-    acc = 0.0
-    for atom, mi, ni in zip(ids, a, b):
-        ni = float(ni)
-        mi = float(mi)
-        if ni > 0.0:
-            acc += ni * abs(mi / ni - 1.0)
-        elif mi > 0.0:
-            raise AbsoluteContinuityViolation(atom)
-    return acc
+    carrier = _carrier(ids, a, b)
+    nw = b[carrier]
+    return _ordered_sum(nw * np.abs(a[carrier] / nw - 1.0))
 
 
 def subset_totals(nu: SignedMeasure, within: Iterable[str] | None = None) -> np.ndarray:
@@ -257,13 +265,7 @@ def subset_totals(nu: SignedMeasure, within: Iterable[str] | None = None) -> np.
     :meth:`SignedMeasure.total` exactly.  Capped at supports of at most
     ``ENUMERATION_CAP`` atoms.
     """
-    if within is None:
-        weights = nu.weights
-    else:
-        keys = set(within)
-        weights = np.array(
-            [w for a, w in zip(nu.atoms, nu.weights) if a in keys], dtype=np.float64
-        )
+    weights = _selected(nu, within)
     if weights.size > ENUMERATION_CAP:
         raise DomainError(
             f"subset enumeration is capped at {ENUMERATION_CAP} atoms, got {weights.size}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -23,6 +25,27 @@ def pm(*weights: float) -> ProbabilityMeasure:
 def pm_normalized(*raw: float) -> ProbabilityMeasure:
     w = np.array(raw, dtype=np.float64)
     return ProbabilityMeasure(atoms(len(raw)), w / w.sum())
+
+
+def bits(x: float) -> bytes:
+    """The IEEE bytes of a float, so that comparisons tell -0.0 from 0.0."""
+    return struct.pack("<d", float(x))
+
+
+def ordered_sum(values) -> float:
+    """Reference accumulation: plain left to right from 0.0, one value at a time."""
+    acc = 0.0
+    for v in values:
+        acc += float(v)
+    return acc
+
+
+def align_per_atom(a: SignedMeasure, b: SignedMeasure):
+    """Reference union alignment, built with one weight() lookup per atom."""
+    ids = list(a.atoms) + [x for x in b.atoms if x not in set(a.atoms)]
+    wa = np.array([a.weight(x) for x in ids], dtype=np.float64)
+    wb = np.array([b.weight(x) for x in ids], dtype=np.float64)
+    return tuple(ids), wa, wb
 
 
 finite_weights = st.floats(

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import given, settings
 
 from divbound import (
@@ -44,6 +45,9 @@ class TestPhi:
 
     def test_kl_value(self):
         assert phi(builtin("KL"), 0.25) == pytest.approx(PHI_KL_QUARTER, abs=1e-12)
+
+    def test_shannon_phi_at_zero_is_positive_zero(self):
+        assert math.copysign(1.0, phi(builtin("SH"), 0.0)) == 1.0
 
     def test_vanishes_at_zero_exactly(self):
         for name in BUILTIN_NAMES:
@@ -210,6 +214,21 @@ class TestBretagnolleHuber:
         with pytest.raises(DomainError):
             bretagnolle_huber(-0.1)
 
+    def test_never_below_the_exact_bounds(self):
+        # the certify grid, random values up to 40, and log-uniform values down to 1e-300
+        rng = np.random.default_rng(2)
+        grid = [3.0 * k / 600 for k in range(601)]
+        grid += rng.uniform(0.0, 40.0, 20000).tolist() + (10.0 ** rng.uniform(-300, 0, 20000)).tolist()
+        below = []
+        with mpmath.workdps(50):
+            for d in grid:
+                tight, loose = bretagnolle_huber(d)
+                x = mpmath.mpf(d)
+                if tight < min(2 * mpmath.sqrt(-mpmath.expm1(-x)), 2) or loose < min(2 * mpmath.sqrt(x), 2):
+                    below.append(d)
+                assert tight <= loose
+        assert below == []
+
     def test_certificate(self):
         cert = bretagnolle_huber_certificate(0.1)
         assert cert.method == "bretagnolle-huber"
@@ -255,6 +274,16 @@ class TestCertificate:
         data = json.loads(json.dumps(cert.to_json_dict(precision=9)))
         again = TvCertificate.from_json_dict(data)
         assert again.to_json_dict(precision=9) == data
+
+    def test_printed_bound_never_below_library_bound(self):
+        ds = [k / 1000 for k in range(1, 2001)]  # 0.001, ..., 2.0
+        for name in BUILTIN_NAMES:
+            for d in ds:
+                cert = invert(builtin(name), d)
+                for precision in range(1, 18):
+                    data = cert.to_json_dict(precision)
+                    assert data["tv_upper_bound"] >= cert.tv_upper_bound, (name, d, precision)
+                    assert data["value"] == float(f"{d:.{precision}g}")
 
     def test_range_validation(self):
         with pytest.raises(DomainError):

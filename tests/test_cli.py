@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from divbound import TvCertificate
+from divbound import TvCertificate, builtin, lower_bound
 from divbound.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -105,6 +105,22 @@ class TestBound:
         assert code == 0
         assert out.strip() == "0.5"
 
+    def test_no_negative_zero(self, capsys):
+        code, out, _ = run(capsys, "bound", "--gen", "sh", "--tv", "0")
+        assert code == 0
+        assert out.strip() == "0"
+
+    def test_floor_prints_rounded_down(self, capsys):
+        exact = lower_bound(builtin("KL"), 0.5)
+        for precision in range(1, 18):
+            code, out, _ = run(capsys, "bound", "--gen", "kl", "--tv", "0.5",
+                               "--precision", str(precision))
+            assert code == 0
+            assert float(out) <= exact
+            code, out, _ = run(capsys, "bound", "--gen", "kl", "--tv", "0.5", "--format", "json",
+                               "--precision", str(precision))
+            assert json.loads(out)["lower_bound"] <= exact
+
     def test_out_of_range_exits_3(self, capsys):
         code, _, _ = run(capsys, "bound", "--gen", "kl", "--tv", "3.0")
         assert code == 3
@@ -127,7 +143,8 @@ class TestInvert:
     def test_pearson_closed_form(self, capsys):
         code, out, _ = run(capsys, "invert", "--gen", "pe", "--d", "0.5")
         assert code == 0
-        assert json.loads(out)["tv_upper_bound"] == 1.0
+        # the bisection bound 1 + 2**-34, printed rounded up at 9 digits
+        assert json.loads(out)["tv_upper_bound"] == 1.00000001
 
     def test_infinite_divergence(self, capsys):
         code, out, _ = run(capsys, "invert", "--gen", "kl", "--d", "inf")
@@ -143,6 +160,14 @@ class TestInvert:
     def test_negative_value_exits_3(self, capsys):
         code, _, _ = run(capsys, "invert", "--gen", "kl", "--d", "-0.5")
         assert code == 3
+
+    def test_printed_bound_covers_the_supremum(self, capsys):
+        # exact Bretagnolle-Huber supremum at d = 0.869, which rounding to nearest undershoots
+        for precision in range(1, 18):
+            code, out, _ = run(capsys, "invert", "--gen", "sh", "--d", "0.869",
+                               "--precision", str(precision))
+            assert code == 0
+            assert json.loads(out)["tv_upper_bound"] >= 1.5239806949663057
 
     def test_printed_certificate_round_trips(self, capsys):
         code, out, _ = run(capsys, "invert", "--gen", "he", "--d", "0.3")
@@ -178,6 +203,11 @@ class TestScan:
             cells = line.split(",")
             assert len(cells) == 6
             assert float(cells[5]) >= -1e-9
+
+    def test_no_negative_zero_cells(self, capsys):
+        code, out, _ = run(capsys, "scan", "--gen", "sh", "--resolution", "9")
+        assert code == 0
+        assert "-0" not in out.replace("\n", ",").split(",")
 
 
 class TestDecompose:
@@ -217,4 +247,5 @@ class TestUsage:
             capture_output=True, text=True,
         )
         assert result.returncode == 0
-        assert json.loads(result.stdout)["tv_upper_bound"] == 1.0
+        # the bisection bound 1 + 2**-34, printed rounded up at 9 digits
+        assert json.loads(result.stdout)["tv_upper_bound"] == 1.00000001

@@ -1,0 +1,67 @@
+"""Extended reals: parsing, and printing with a chosen rounding direction."""
+
+import math
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from divbound.extreal import DOWN, UP, encode_extended, format_extended
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+precisions = st.integers(1, 17)
+
+
+class TestFormatExtended:
+    @given(finite, precisions)
+    def test_nearest_is_python_g_format(self, x, precision):
+        assert format_extended(x, precision) == f"{x:.{precision}g}"
+
+    @given(finite, precisions)
+    def test_directed_rounding_lands_on_its_side(self, x, precision):
+        assert float(format_extended(x, precision, UP)) >= x
+        assert float(format_extended(x, precision, DOWN)) <= x
+
+    @given(finite, precisions)
+    def test_directed_rounding_keeps_a_sound_nearest_result(self, x, precision):
+        nearest = f"{x:.{precision}g}"
+        if float(nearest) >= x:
+            assert format_extended(x, precision, UP) == nearest
+        if float(nearest) <= x:
+            assert format_extended(x, precision, DOWN) == nearest
+
+    @given(st.floats(-1e300, 1e300), st.integers(1, 15), st.sampled_from([UP, DOWN]))
+    def test_directed_text_has_the_g_layout_and_is_idempotent(self, x, precision, rounding):
+        text = format_extended(x, precision, rounding)
+        assert text == f"{float(text):.{precision}g}"
+        assert format_extended(float(text), precision, rounding) == text
+
+    def test_examples(self):
+        assert format_extended(0.1996875683685329, 9, UP) == "0.199687569"
+        assert format_extended(0.1996875683685329, 9, DOWN) == "0.199687568"
+        assert format_extended(1.23456e-7, 3, UP) == "1.24e-07"
+        assert format_extended(-1.23456e-7, 3, UP) == "-1.23e-07"
+        assert format_extended(123456.0, 3, DOWN) == "1.23e+05"
+        assert format_extended(9.9999, 3, UP) == "10"
+
+    def test_infinities(self):
+        assert format_extended(math.inf, 3, UP) == "inf"
+        assert format_extended(-math.inf) == "-inf"
+
+
+class TestEncodeExtended:
+    def test_exact_without_precision(self):
+        assert encode_extended(0.1 + 0.2) == 0.1 + 0.2
+        assert encode_extended(0.1 + 0.2, rounding=UP) == 0.1 + 0.2
+
+    def test_rounded_with_precision(self):
+        assert encode_extended(0.1996875683685329, 9) == 0.199687568
+        assert encode_extended(0.1996875683685329, 9, UP) == 0.199687569
+
+    @pytest.mark.parametrize("precision", [None, 9])
+    def test_infinity_is_a_string(self, precision):
+        assert encode_extended(math.inf, precision, UP) == "inf"
+
+    def test_rounding_past_the_largest_float_gives_inf(self):
+        assert encode_extended(1.7976931348623157e308, 1, UP) == "inf"
+        assert encode_extended(-1.7976931348623157e308, 1) == "-inf"

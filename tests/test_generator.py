@@ -27,6 +27,11 @@ class TestBuiltins:
     def test_pearson_value(self):
         assert builtin("PE")(3.0) == 4.0
 
+    def test_shannon_is_positive_zero_at_one(self):
+        sh = builtin("SH")
+        assert math.copysign(1.0, sh(1.0)) == 1.0
+        assert math.copysign(1.0, sh.eval_array(np.array([1.0]))[0]) == 1.0
+
     def test_all_vanish_at_one_exactly(self):
         for f in ALL:
             assert f(1.0) == 0.0

@@ -10,12 +10,14 @@ from divbound import (
     BUILTIN_NAMES,
     DomainError,
     builtin,
+    d_f,
     random_pair,
     scan_binary,
     scan_to_csv,
     tightness_gap,
     verify_bound,
 )
+from helpers import bits, pm
 
 # 0.5*log(4/3) and phi_KL(0.25), both at 50 digits
 KL_EXAMPLE = 0.14384103622589045
@@ -76,6 +78,13 @@ class TestScanBinary:
             for r in scan_binary(builtin(name), 15):
                 assert r.slack >= -1e-9
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_divergence_equals_d_f_of_the_bernoulli_pair(self, name):
+        f = builtin(name)
+        for r in scan_binary(f, 15):
+            value = d_f(f, pm(r.p, 1.0 - r.p), pm(r.q, 1.0 - r.q)).value
+            assert bits(r.divergence) == bits(value)
+
     def test_record_count_and_domain(self):
         assert len(scan_binary(builtin("PE"), 7)) == 49
         with pytest.raises(DomainError):
@@ -118,6 +127,12 @@ class TestVerifyBound:
         assert data["trials"] == 5
         assert data["passed"] is True
         assert set(data["worst_pair"]) == {"mu", "nu"}
+
+    def test_printed_violation_rounds_up(self):
+        for name in BUILTIN_NAMES:
+            report = verify_bound(builtin(name), 200, 6, 5)
+            for precision in range(1, 18):
+                assert report.to_json_dict(precision)["max_violation"] >= report.max_violation
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divbound import (
     AbsoluteContinuityViolation,
@@ -21,8 +22,11 @@ from divbound import (
     tv_via_density,
 )
 from helpers import (
+    align_per_atom,
     atoms,
     balanced_signed_measures,
+    bits,
+    ordered_sum,
     pm,
     probability_pairs,
     probability_triples,
@@ -255,3 +259,67 @@ class TestSubsetEnumeration:
         m = sm(1.0, -2.0)
         totals = subset_totals(m)
         assert list(totals) == [0.0, 1.0, -2.0, -1.0]
+
+
+# weights with exact and signed zeros mixed in, for the order-sensitive sums
+zero_or_weight = st.one_of(st.just(0.0), st.just(-0.0), st.floats(
+    min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False
+))
+
+
+@st.composite
+def measure_pairs(draw, max_atoms: int = 8, nonnegative: bool = False):
+    """Two signed measures on overlapping supports in unrelated atom orders."""
+    weights = zero_or_weight.map(abs) if nonnegative else zero_or_weight
+    n = draw(st.integers(0, max_atoms))
+    a = SignedMeasure(atoms(n), draw(st.lists(weights, min_size=n, max_size=n)))
+    shared = draw(st.lists(st.sampled_from(a.atoms), unique=True)) if n else []
+    extra = [f"b{i}" for i in range(draw(st.integers(0, 3)))]
+    ids = draw(st.permutations(shared + extra))
+    b = SignedMeasure(tuple(ids), draw(st.lists(weights, min_size=len(ids), max_size=len(ids))))
+    return a, b
+
+
+class TestOrderedSums:
+    """The array forms of the sums equal a plain left-to-right loop, bit for bit."""
+
+    @given(signed_measures(min_atoms=0), st.data())
+    def test_total(self, m, data):
+        keep = data.draw(st.lists(st.booleans(), min_size=len(m), max_size=len(m)))
+        within = [a for a, k in zip(m.atoms, keep) if k]
+        assert bits(m.total()) == bits(ordered_sum(m.weights))
+        assert bits(m.total(within)) == bits(ordered_sum(w for a, w in m.items() if a in within))
+
+    @given(measure_pairs())
+    def test_tv_distance(self, pair):
+        _, a, b = align_per_atom(*pair)
+        expected = ordered_sum(abs(float(x) - float(y)) for x, y in zip(a, b))
+        assert bits(tv_distance(*pair)) == bits(expected)
+
+    @given(measure_pairs(nonnegative=True))
+    def test_tv_via_density(self, pair):
+        _, a, b = align_per_atom(*pair)
+        if any(x > 0.0 and not y > 0.0 for x, y in zip(a, b)):
+            with pytest.raises(AbsoluteContinuityViolation):
+                tv_via_density(*pair)
+            return
+        expected = ordered_sum(float(y) * abs(float(x) / float(y) - 1.0) for x, y in zip(a, b) if y > 0.0)
+        assert bits(tv_via_density(*pair)) == bits(expected)
+
+    @pytest.mark.parametrize("weights", [(), (-0.0,), (-0.0, -0.0), (0.0, -0.0), (-1.5, 1.5, -0.0)])
+    def test_empty_and_negative_zero(self, weights):
+        m, zero = sm(*weights), sm(*[0.0] * len(weights))
+        assert bits(m.total()) == bits(ordered_sum(weights))
+        assert bits(tv_distance(m, zero)) == bits(ordered_sum(abs(w) for w in weights))
+        assert bits(tv_via_density(zero, sm(*[1.0] * len(weights)))) == bits(float(len(weights)))
+
+
+class TestAlignPerAtom:
+    @given(measure_pairs())
+    def test_matches_per_atom_construction(self, pair):
+        for a, b in (pair, pair[::-1]):
+            ids, wa, wb = align(a, b)
+            ref_ids, ref_a, ref_b = align_per_atom(a, b)
+            assert ids == ref_ids
+            assert wa.tobytes() == ref_a.tobytes()
+            assert wb.tobytes() == ref_b.tobytes()
