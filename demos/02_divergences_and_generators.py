@@ -38,9 +38,19 @@ print("sh(mu, nu):", sh(mu, nu).value, "   (same as kl(nu, mu))")
 f_star = dual(builtin("KL"))
 print("dual(KL) applied to (mu, nu):", d_f(f_star, mu, nu).value)
 
-# The reverse KL blows up when mu misses mass that nu carries.
+# dual swaps the two stored limits, the value at 0 and the slope at
+# infinity lim f(y)/y; nothing is evaluated numerically.
+for name in BUILTIN_NAMES:
+    f = builtin(name)
+    fd = dual(f)
+    print(f"{name}: f(0) = {f.value_at_zero}, slope = {f.slope_at_inf};"
+          f"  {fd.name}: f(0) = {fd.value_at_zero}, slope = {fd.slope_at_inf}")
+
+# The reverse KL blows up when mu misses mass that nu carries, and so
+# does dual(KL), whose value at 0 is the infinite slope of KL.
 spiky = ProbabilityMeasure(("a1", "a2", "a3"), [0.0, 0.5, 0.5])
 print("sh with a vanishing mu atom:", sh(spiky, nu).value)
+print("dual(KL) with a vanishing mu atom:", d_f(f_star, spiky, nu).value)
 
 # A separation coefficient certifies that zero divergence forces equal
 # measures: f(x) - a*(x - 1) must be positive away from 1.

@@ -20,8 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NonMonotoneGenerator
-from .extreal import INF, UP, encode_extended
+from .extreal import UP, encode_extended, parse_extended
 from .generator import Generator, is_builtin
 
 METHOD_NUMERIC = "numeric-inversion"
@@ -31,7 +33,6 @@ _METHODS = (METHOD_NUMERIC, METHOD_BRETAGNOLLE_HUBER, METHOD_HELLINGER)
 
 # bracket width on the TV scale at which bisection stops
 _BISECTION_TOL = 1e-10
-_BISECTION_MAX_ITER = 200
 _MONOTONE_GRID = 1001
 
 
@@ -41,6 +42,10 @@ def phi(f: Generator, t: float) -> float:
     if math.isnan(t) or t < 0.0 or t > 1.0:
         raise DomainError(f"phi is defined for t in [0, 1], got {t!r}")
     return f(1.0 + t) + f(1.0 - t)
+
+
+def _phi_array(f: Generator, t: np.ndarray) -> np.ndarray:
+    return f.eval_array(1.0 + t) + f.eval_array(1.0 - t)
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,8 @@ class TvCertificate:
     method: str
 
     def __post_init__(self) -> None:
+        if not self.divergence_value >= 0.0:
+            raise DomainError(f"divergence values are nonnegative, got {self.divergence_value!r}")
         if not 0.0 <= self.tv_upper_bound <= 2.0:
             raise DomainError(f"tv_upper_bound must lie in [0, 2], got {self.tv_upper_bound!r}")
         if self.method not in _METHODS:
@@ -88,14 +95,13 @@ class TvCertificate:
         if not isinstance(data, dict):
             raise DomainError("certificate must be a JSON object")
         try:
-            name = data["divergence"]
-            value = data["value"]
-            tv_ub = data["tv_upper_bound"]
-            method = data["method"]
+            name, method = data["divergence"], data["method"]
+            value, tv_ub = parse_extended(data["value"]), parse_extended(data["tv_upper_bound"])
         except KeyError as exc:
             raise DomainError(f"certificate is missing field {exc}") from None
-        value = INF if value == "inf" else float(value)
-        return cls(str(name), value, float(tv_ub), str(method))
+        except ValueError as exc:
+            raise DomainError(f"certificate field is not a number: {exc}") from None
+        return cls(str(name), value, tv_ub, str(method))
 
 
 def lower_bound(f: Generator, tv: float) -> float:
@@ -113,26 +119,20 @@ def check_monotone(f: Generator, grid_size: int) -> bool:
     """Grid-check that phi is nondecreasing on [0, 1] (within 1e-12).
 
     When the generator has a separation coefficient the check is strict:
-    consecutive grid values must increase by more than 1e-12.
+    consecutive grid values must increase by more than 1e-12; two
+    consecutive infinite values pass only the plain check.
     """
     grid_size = int(grid_size)
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
-    strict = f.separation_coefficient is not None
-    previous = phi(f, 0.0)
-    for k in range(1, grid_size):
-        current = phi(f, k / (grid_size - 1.0))
-        if math.isinf(previous) and math.isinf(current):
-            if strict:
-                return False
-            previous = current
-            continue
-        if current < previous - 1e-12:
-            return False
-        if strict and not current - previous > 1e-12:
-            return False
-        previous = current
-    return True
+    values = _phi_array(f, np.arange(grid_size) / (grid_size - 1.0))
+    previous, current = values[:-1], values[1:]
+    both_inf = np.isinf(previous) & np.isinf(current)
+    with np.errstate(invalid="ignore"):
+        falls = current < previous - 1e-12
+        if f.separation_coefficient is None:
+            return not np.any(falls & ~both_inf)
+        return not np.any(both_inf | falls | ~(current - previous > 1e-12))
 
 
 def invert(f: Generator, d: float) -> TvCertificate:
@@ -155,19 +155,15 @@ def invert(f: Generator, d: float) -> TvCertificate:
             f"bound function of generator {f.name!r} is not nondecreasing on [0, 1]"
         )
     if phi(f, 1.0) <= d:
-        tv_ub = 2.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(_BISECTION_MAX_ITER):
-            if 2.0 * (hi - lo) <= _BISECTION_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            if phi(f, mid) <= d:
-                lo = mid
-            else:
-                hi = mid
-        tv_ub = min(2.0 * hi, 2.0)
-    return TvCertificate(f.name, d, tv_ub, METHOD_NUMERIC)
+        return TvCertificate(f.name, d, 2.0, METHOD_NUMERIC)
+    lo, hi = 0.0, 1.0
+    while 2.0 * (hi - lo) > _BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if phi(f, mid) <= d:
+            lo = mid
+        else:
+            hi = mid
+    return TvCertificate(f.name, d, 2.0 * hi, METHOD_NUMERIC)
 
 
 def bretagnolle_huber(sh: float) -> tuple[float, float]:

@@ -57,19 +57,25 @@ def density_ratio(
 
 
 def _divergence_rows(f: Generator, a: np.ndarray, b: np.ndarray):
-    """Exact sum of b_i * f(a_i / b_i) over the atoms with b_i > 0.
+    """Exact sum of b_i * f(a_i / b_i) where b_i > 0, plus a_i * f.slope_at_inf where a_i > 0 = b_i.
 
-    Takes one aligned pair as 1-D arrays, giving a float, or one pair per
-    row of 2-D arrays, giving an array of per-row sums.
+    A conjugate sums its base generator's terms of the swapped pair, so
+    it equals the base divergence with the arguments swapped, bit for bit.
+    Takes one aligned pair as 1-D arrays, giving a float, or one pair of
+    two-atom measures per row of 2-D arrays, giving an array of row sums.
     """
+    if f.base is not None:
+        f, a, b = f.base, b, a
     carrier = b > 0.0
     nw = b[carrier]
-    terms = nw * f.eval_array(a[carrier] / nw)
-    if b.ndim == 1:
-        return math.fsum(terms.tolist())
     rows = np.zeros(b.shape)
-    rows[carrier] = terms
-    return np.fromiter(map(math.fsum, rows.tolist()), np.float64, len(rows))
+    rows[carrier] = nw * f.eval_array(a[carrier] / nw)
+    if nw.size < b.size and (outside := (a > 0.0) & ~carrier).any():
+        rows[outside] = a[outside] * f.slope_at_inf
+    if b.ndim == 1:
+        return math.fsum(rows.tolist())
+    # a correctly rounded two-term sum; adding 0.0 turns -0.0 into fsum's +0.0
+    return rows[:, 0] + rows[:, 1] + 0.0
 
 
 def d_f(f: Generator, mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> DivergenceValue:

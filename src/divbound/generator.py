@@ -1,12 +1,13 @@
 """Convex generator functions defining f-divergences.
 
 A generator is a convex function f on [0, inf) with f(1) = 0.  Each one
-carries its limit at 0+ as stored metadata (evaluating x*log(x) or
--log(x) at 0 in floating point would produce NaN or raise) and, when one
-exists, a separation coefficient a: a real number such that
-g(x) = f(x) - a*(x - 1) is nonnegative and vanishes only at x = 1.  A
-generator with such a coefficient yields a divergence that separates
-measures: divergence zero forces the measures to be equal.
+carries exact metadata, never probed: its limit at 0+ (evaluating
+x*log(x) or -log(x) at 0 in floating point would produce NaN or raise),
+its slope at infinity lim f(y)/y and, when one exists, a separation
+coefficient a: a real number such that g(x) = f(x) - a*(x - 1) is
+nonnegative and vanishes only at x = 1.  A generator with such a
+coefficient yields a divergence that separates measures: divergence
+zero forces the measures to be equal.
 
 Convexity and separation are validated numerically on sample grids; this
 module checks, it does not prove.
@@ -31,13 +32,16 @@ class Generator:
 
     ``fn`` only ever sees strictly positive arguments; calls at 0 return
     ``value_at_zero``.  Built-in ``fn`` implementations accept numpy
-    arrays as well as scalars.
+    arrays as well as scalars.  ``slope_at_inf`` is lim f(y)/y; ``base``
+    is set on conjugates only (see ``dual``).
     """
 
     name: str
     fn: Callable[[float], float]
     value_at_zero: float
     separation_coefficient: float | None = None
+    slope_at_inf: float | None = None
+    base: Generator | None = None
 
     def __post_init__(self) -> None:
         if float(self.fn(1.0)) != 0.0:
@@ -95,74 +99,67 @@ def _shannon(x):
 
 
 _BUILTINS: dict[str, Generator] = {
-    "HE": Generator("HE", _hellinger, 1.0, 0.0),
-    "TV": Generator("TV", _total_variation, 1.0, None),
-    "KL": Generator("KL", _kullback_leibler, 0.0, 1.0),
-    "PE": Generator("PE", _pearson, 1.0, 0.0),
-    "SH": Generator("SH", _shannon, math.inf, -1.0),
+    "HE": Generator("HE", _hellinger, 1.0, 0.0, 1.0),
+    "TV": Generator("TV", _total_variation, 1.0, None, 1.0),
+    "KL": Generator("KL", _kullback_leibler, 0.0, 1.0, math.inf),
+    "PE": Generator("PE", _pearson, 1.0, 0.0, math.inf),
+    "SH": Generator("SH", _shannon, math.inf, -1.0, 0.0),
 }
 
 
 def builtin(name: str) -> Generator:
     """Look up a built-in generator by (case-insensitive) name.
 
-    HE  (sqrt(x) - 1)^2   Hellinger                 f(0) = 1, a = 0
-    TV  |x - 1|           total variation           f(0) = 1, no coefficient
-    KL  x log x           Kullback-Leibler (nats)   f(0) = 0, a = 1
-    PE  (x - 1)^2         Pearson chi-square        f(0) = 1, a = 0
-    SH  -log x            reverse KL / Shannon      f(0) = inf, a = -1
+    HE  (sqrt(x) - 1)^2   Hellinger                 f(0) = 1,   f'(inf) = 1,   a = 0
+    TV  |x - 1|           total variation           f(0) = 1,   f'(inf) = 1,   no coefficient
+    KL  x log x           Kullback-Leibler (nats)   f(0) = 0,   f'(inf) = inf, a = 1
+    PE  (x - 1)^2         Pearson chi-square        f(0) = 1,   f'(inf) = inf, a = 0
+    SH  -log x            reverse KL / Shannon      f(0) = inf, f'(inf) = 0,   a = -1
 
-    SH is the dual of KL.  TV stores no separation coefficient: it
+    f'(inf) is the slope at infinity, lim f(y)/y.  SH is the dual of KL:
+    the two swap their limits.  TV stores no separation coefficient: it
     separates measures through the metric property of the distance, not
     through a coefficient, and no claim is attached to one.
     """
-    key = str(name).upper()
     try:
-        return _BUILTINS[key]
+        return _BUILTINS[str(name).upper()]
     except KeyError:
-        raise UnknownGenerator(
-            f"unknown generator {name!r}; choose one of {', '.join(BUILTIN_NAMES)}"
-        ) from None
+        choices = ", ".join(BUILTIN_NAMES)
+        raise UnknownGenerator(f"unknown generator {name!r}; choose one of {choices}") from None
 
 
 def is_builtin(f: Generator) -> bool:
     return _BUILTINS.get(f.name.upper()) is f
 
 
-def dual(
-    f: Generator, *, name: str | None = None, value_at_zero: float | None = None
-) -> Generator:
+def dual(f: Generator) -> Generator:
     """The conjugate generator x -> x*f(1/x), which swaps divergence arguments.
 
-    The limit at 0+ is probed by evaluating at x = 1e-12 and rounding to
-    +inf above 1e10; that heuristic can miss slowly diverging limits
-    (x*f(1/x) = -log x reaches only ~27.6 at the probe), so exact
-    metadata can be supplied through ``value_at_zero``.  When ``f`` has a
-    separation coefficient a, the dual has coefficient -a, because
-    x*f(1/x) + a*(x - 1) = x*g(1/x) inherits positivity from g.
+    Its limit at 0+ is f's slope at infinity and its slope is f(0): the
+    stored limits trade places and nothing is probed.  A separation
+    coefficient a becomes -a, because x*f(1/x) + a*(x - 1) = x*g(1/x)
+    inherits positivity from g.  The conjugate is named ``f.name + "*"``
+    and keeps ``f`` as its ``base``, so ``dual(dual(f)) is f``.  Raises
+    ``DomainError`` when ``f`` stores no slope at infinity.
     """
+    if f.base is not None:
+        return f.base
+    if f.slope_at_inf is None:
+        raise DomainError(f"generator {f.name!r} stores no slope at infinity, so it has no dual")
 
     def conjugate(x):
         if isinstance(x, np.ndarray):
             return x * f.eval_array(1.0 / x)
         return x * f(1.0 / x)
 
-    if value_at_zero is None:
-        probe = 1e-12 * f(1e12)
-        value_at_zero = math.inf if probe > 1e10 else probe
     a = f.separation_coefficient
-    return Generator(
-        name if name is not None else f"{f.name}*",
-        conjugate,
-        float(value_at_zero),
-        None if a is None else -a,
-    )
+    return Generator(f"{f.name}*", conjugate, f.slope_at_inf, None if a is None else -a,
+                     f.value_at_zero, f)
 
 
 def default_grid(stop: float = 10.0, step: float = 0.01) -> np.ndarray:
     """The sample grid {0, step, 2*step, ..., stop} used by the checks."""
-    count = int(round(stop / step)) + 1
-    return np.linspace(0.0, stop, count)
+    return np.linspace(0.0, stop, int(round(stop / step)) + 1)
 
 
 def check_separation(f: Generator, a: float, grid: Iterable[float]) -> bool:

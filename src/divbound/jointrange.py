@@ -17,7 +17,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .bounds import invert, lower_bound
+from .bounds import _phi_array, invert, lower_bound
 from .divergence import _divergence_rows, d_f
 from .errors import DomainError
 from .extreal import UP, encode_extended, format_extended
@@ -119,7 +119,7 @@ def scan_binary(f: Generator, resolution: int) -> list[ScanRecord]:
     p, q = np.repeat(grid, grid.size), np.tile(grid, grid.size)
     t = np.abs(p - q)
     div = _divergence_rows(f, _bernoulli(p), _bernoulli(q))
-    floor = f.eval_array(1.0 + t) + f.eval_array(1.0 - t)
+    floor = _phi_array(f, t)
     with np.errstate(invalid="ignore"):
         slack = np.where(np.isinf(div) & np.isinf(floor), 0.0, div - floor)
     columns = (p, q, 2.0 * t, div, floor, slack)

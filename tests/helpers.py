@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 from hypothesis import strategies as st
 
-from divbound import ProbabilityMeasure, SignedMeasure
+from divbound import ProbabilityMeasure, SignedMeasure, phi
 
 
 def atoms(n: int) -> tuple[str, ...]:
@@ -38,6 +39,25 @@ def ordered_sum(values) -> float:
     for v in values:
         acc += float(v)
     return acc
+
+
+def check_monotone_loop(f, grid_size: int) -> bool:
+    """Reference monotonicity check: one scalar phi call per grid point, until a failure."""
+    strict = f.separation_coefficient is not None
+    previous = phi(f, 0.0)
+    for k in range(1, grid_size):
+        current = phi(f, k / (grid_size - 1.0))
+        if math.isinf(previous) and math.isinf(current):
+            if strict:
+                return False
+            previous = current
+            continue
+        if current < previous - 1e-12:
+            return False
+        if strict and not current - previous > 1e-12:
+            return False
+        previous = current
+    return True
 
 
 def align_per_atom(a: SignedMeasure, b: SignedMeasure):

@@ -157,10 +157,11 @@ def test_criterion_8_duality():
         for k in range(1000):
             mu, nu = random_pair(2 + k % 7, SEED + 77 + k * (1 << 64))
             for f, fd in zip(generators, duals):
-                assert abs(d_f(fd, mu, nu).value - d_f(f, nu, mu).value) <= 1e-12
+                assert d_f(fd, mu, nu).value == d_f(f, nu, mu).value
         grid = np.linspace(0.01, 10.0, 1000)
         for f in generators:
             fdd = dual(dual(f))
+            assert fdd is f
             assert np.all(np.abs(fdd.eval_array(grid) - f.eval_array(grid)) <= 1e-10)
 
 

@@ -20,6 +20,7 @@ from divbound import (
     builtin,
     check_monotone,
     d_f,
+    dual,
     hellinger_bound,
     hellinger_certificate,
     invert,
@@ -27,7 +28,7 @@ from divbound import (
     phi,
     tv_distance,
 )
-from helpers import pm, probability_pairs
+from helpers import check_monotone_loop, pm, probability_pairs
 
 # high-precision evaluations of the closed forms
 PHI_KL_QUARTER = 0.0631678848039265       # 1.25*log(1.25) + 0.75*log(0.75)
@@ -121,6 +122,38 @@ class TestCheckMonotone:
     def test_grid_size_domain(self):
         with pytest.raises(DomainError):
             check_monotone(builtin("KL"), 1)
+
+    def test_verdicts_match_scalar_loop(self):
+        cliff = lambda x: np.where(x > 1.5, np.inf, (x - 1.0) ** 2)
+        wiggle = lambda x: (x - 1.0) ** 2 + 1e-12 * np.sin(50.0 * (x - 1.0))
+        generators = [builtin(name) for name in BUILTIN_NAMES]
+        generators += [dual(f) for f in generators]
+        generators += [
+            Generator("flat", lambda x: 0.0 * x, 0.0, None),
+            Generator("flat+", lambda x: 0.0 * x, 0.0, 0.0),
+            Generator("cap", lambda x: -((x - 1.0) ** 2), -1.0, None),
+            Generator("cliff", cliff, 1.0, None),
+            Generator("cliff+", cliff, 1.0, 0.0),
+            Generator("cliff-inf", cliff, math.inf, None),
+            # phi rises to +inf, then drops to -inf: a pair of infinities the plain check skips
+            Generator("flip", lambda x: np.where(x > 1.7, -np.inf, cliff(x)), 1.0, None),
+            Generator("nan", lambda x: np.where(x > 1.8, np.nan, (x - 1.0) ** 2), 1.0, None),
+            Generator("nan+", lambda x: np.where(x > 1.8, np.nan, (x - 1.0) ** 2), 1.0, 0.0),
+            Generator("wiggle", wiggle, 1.0 + 1e-12 * math.sin(-50.0), None),
+            Generator("wiggle+", wiggle, 1.0 + 1e-12 * math.sin(-50.0), 0.0),
+        ]
+        # increments of phi = 2*s*t**2 straddle the strict 1e-12 threshold
+        generators += [
+            Generator(f"small{s}", lambda x, s=s: s * (x - 1.0) ** 2, s, 0.0)
+            for s in (1e-9, 1e-10, 2.5e-11, 1e-13)
+        ]
+        verdicts = set()
+        for g in generators:
+            for n in (2, 3, 11, 101, 1001):
+                verdict = check_monotone(g, n)
+                assert verdict == check_monotone_loop(g, n), (g.name, n)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestInvert:
@@ -289,4 +322,33 @@ class TestCertificate:
         with pytest.raises(DomainError):
             TvCertificate("KL", 0.1, 2.5, "numeric-inversion")
         with pytest.raises(DomainError):
+            TvCertificate("KL", math.nan, 1.0, "numeric-inversion")
+        with pytest.raises(DomainError):
+            TvCertificate("KL", -0.5, 1.0, "numeric-inversion")
+        with pytest.raises(DomainError):
             TvCertificate("KL", 0.1, 1.0, "guesswork")
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("value", "nan"),
+            ("value", -5.0),
+            ("value", "-inf"),
+            ("value", True),
+            ("value", {}),
+            ("value", None),
+            ("tv_upper_bound", "wide"),
+            ("tv_upper_bound", None),
+        ],
+        ids=["nan", "negative", "minus-inf", "true", "object", "null", "tv-text", "tv-null"],
+    )
+    def test_bad_field_is_a_domain_error(self, field, bad):
+        data = invert(builtin("KL"), 0.1).to_json_dict()
+        data[field] = bad
+        with pytest.raises(DomainError):
+            TvCertificate.from_json_dict(data)
+
+    @pytest.mark.parametrize("data", [{}, None, [], "cert"], ids=["empty", "null", "list", "text"])
+    def test_malformed_document_is_a_domain_error(self, data):
+        with pytest.raises(DomainError):
+            TvCertificate.from_json_dict(data)

@@ -3,12 +3,14 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from divbound import (
     AbsoluteContinuityViolation,
     BUILTIN_NAMES,
+    Generator,
     ProbabilityMeasure,
     builtin,
     d_f,
@@ -22,7 +24,8 @@ from divbound import (
     tv,
     tv_distance,
 )
-from helpers import pm, probability_pairs
+from divbound.divergence import _divergence_rows
+from helpers import bits, pm, probability_pairs
 
 MU = pm(0.5, 0.5)
 NU = pm(0.25, 0.75)
@@ -128,14 +131,43 @@ class TestDuality:
         assert sh(mu, nu).value == pytest.approx(kl(nu, mu).value, abs=1e-12)
 
     @given(probability_pairs(max_atoms=6))
+    @example((pm(1.42836738e-04, 9.99857163e-01), pm(0.75, 0.25)))
     @settings(max_examples=60, deadline=None)
     def test_dual_generator_swaps_arguments(self, pair):
+        # the conjugate sums the base generator's terms of the swapped pair
         mu, nu = pair
         for name in BUILTIN_NAMES:
             f = builtin(name)
-            assert d_f(dual(f), mu, nu).value == pytest.approx(
-                d_f(f, nu, mu).value, abs=1e-12
-            )
+            assert d_f(dual(f), mu, nu).value == d_f(f, nu, mu).value
+
+    def test_dual_kl_is_infinite_where_mu_misses_nu_mass(self):
+        # sum_i nu_i * f*(mu_i / nu_i) with f*(0) = slope_at_inf(KL) = inf
+        assert d_f(dual(builtin("KL")), pm(0.0, 1.0), pm(0.5, 0.5)).value == math.inf
+
+    def test_dual_weighs_missing_mass_by_the_slope(self):
+        # dual(HE)(0) = slope_at_inf(HE) = 1, so the a1 term is 0.5 * 1
+        mu, nu = pm(0.0, 1.0), pm(0.5, 0.5)
+        expected = math.fsum([0.5, 1.0 * builtin("HE").eval_array(np.array([0.5 / 1.0]))[0]])
+        assert d_f(dual(builtin("HE")), mu, nu).value == expected
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_two_atom_rows_match_per_row_fsum(self, name):
+        grid = np.arange(1, 401) / 401.0
+        p, q = np.repeat(grid, grid.size), np.tile(grid, grid.size)
+        a, b = np.stack([p, 1.0 - p], axis=-1), np.stack([q, 1.0 - q], axis=-1)
+        for f in (builtin(name), dual(builtin(name))):
+            base, x, w = (f.base, b, a) if f.base is not None else (f, a, b)
+            terms = w * base.eval_array(x / w)
+            expected = [math.fsum(row) for row in terms.tolist()]
+            got = _divergence_rows(f, a, b)
+            assert [bits(v) for v in got.tolist()] == [bits(v) for v in expected]
+
+    def test_negative_zero_terms_sum_to_positive_zero(self):
+        g = Generator("negzero", lambda x: -0.0 * (x - 1.0) ** 2, -0.0, None)
+        got = _divergence_rows(g, np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]))
+        assert bits(got[0]) == bits(math.fsum([-0.0, -0.0]))
 
 
 class TestSeparationConsequence:

@@ -123,14 +123,51 @@ class TestDual:
             assert fdd(x) == pytest.approx(f(x), abs=1e-10)
 
     def test_probed_limits_at_zero(self):
+        # exact, not probed: the dual's limit at 0+ is the stored slope at infinity
         assert dual(builtin("PE")).value_at_zero == math.inf
-        assert dual(builtin("TV")).value_at_zero == pytest.approx(1.0, abs=1e-9)
-        assert dual(builtin("HE")).value_at_zero == pytest.approx(1.0, abs=1e-5)
-        # the probe heuristic cannot see the slow divergence of -log
-        assert dual(builtin("KL")).value_at_zero == pytest.approx(27.631021115928547, abs=1e-9)
+        assert dual(builtin("TV")).value_at_zero == 1.0
+        assert dual(builtin("HE")).value_at_zero == 1.0
+        assert dual(builtin("KL")).value_at_zero == math.inf
+        assert dual(builtin("KL"))(0.0) == math.inf
 
-    def test_metadata_override(self):
-        assert dual(builtin("KL"), value_at_zero=math.inf).value_at_zero == math.inf
+    def test_dual_of_shannon_is_nonnegative_at_zero(self):
+        fd = dual(builtin("SH"))
+        assert fd.value_at_zero == 0.0
+        assert math.copysign(1.0, fd(0.0)) == 1.0
+
+    def test_exact_metadata_table(self):
+        # name: (value_at_zero, slope_at_inf, separation_coefficient) of f and then of dual(f)
+        table = {
+            "HE": ((1.0, 1.0, 0.0), (1.0, 1.0, -0.0)),
+            "TV": ((1.0, 1.0, None), (1.0, 1.0, None)),
+            "KL": ((0.0, math.inf, 1.0), (math.inf, 0.0, -1.0)),
+            "PE": ((1.0, math.inf, 0.0), (math.inf, 1.0, -0.0)),
+            "SH": ((math.inf, 0.0, -1.0), (0.0, math.inf, 1.0)),
+        }
+        for name, (own, conjugate) in table.items():
+            f = builtin(name)
+            fd = dual(f)
+            assert (f.value_at_zero, f.slope_at_inf, f.separation_coefficient) == own
+            assert (fd.value_at_zero, fd.slope_at_inf, fd.separation_coefficient) == conjugate
+            assert f.base is None
+            assert fd.base is f
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_dual_of_dual_is_the_generator_itself(self, name):
+        f = builtin(name)
+        assert dual(dual(f)) is f
+
+    def test_generator_without_slope_has_no_dual(self):
+        g = Generator("logchord", lambda x: math.log(x) * (x - 1.0), math.inf)
+        assert g.slope_at_inf is None
+        with pytest.raises(DomainError):
+            dual(g)
+
+    def test_custom_generator_with_slope(self):
+        g = Generator("pe2", lambda x: 2.0 * (x - 1.0) ** 2, 2.0, 0.0, math.inf)
+        gd = dual(g)
+        assert (gd.value_at_zero, gd.slope_at_inf) == (math.inf, 2.0)
+        assert gd(0.5) == 0.5 * g(2.0)
 
     def test_coefficient_flips_sign(self):
         assert dual(builtin("KL")).separation_coefficient == -1.0
@@ -140,7 +177,6 @@ class TestDual:
 
     def test_default_name(self):
         assert dual(builtin("KL")).name == "KL*"
-        assert dual(builtin("KL"), name="rev").name == "rev"
 
 
 class TestSeparation:
