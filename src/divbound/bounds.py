@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DomainError, NonMonotoneGenerator
 from .extreal import UP, encode_extended, parse_extended
 from .generator import Generator, is_builtin
+from .measure import PROBABILITY_SUM_TOL
 
 METHOD_NUMERIC = "numeric-inversion"
 METHOD_BRETAGNOLLE_HUBER = "bretagnolle-huber"
@@ -108,11 +109,13 @@ def lower_bound(f: Generator, tv: float) -> float:
     """Divergence floor implied by a total variation value: phi(tv / 2).
 
     Every pair at total variation ``tv`` has divergence at least this.
+    Values up to 2 + 2e-9, which ``tv_distance`` reaches on disjoint
+    measures that each sum to 1 within their 1e-9 tolerance, count as 2.
     """
     tv = float(tv)
-    if math.isnan(tv) or tv < 0.0 or tv > 2.0:
+    if math.isnan(tv) or tv < 0.0 or tv > 2.0 + 2.0 * PROBABILITY_SUM_TOL:
         raise DomainError(f"total variation lies in [0, 2], got {tv!r}")
-    return phi(f, tv / 2.0)
+    return phi(f, min(tv, 2.0) / 2.0)
 
 
 def check_monotone(f: Generator, grid_size: int) -> bool:

@@ -61,8 +61,8 @@ def _divergence_rows(f: Generator, a: np.ndarray, b: np.ndarray):
 
     A conjugate sums its base generator's terms of the swapped pair, so
     it equals the base divergence with the arguments swapped, bit for bit.
-    Takes one aligned pair as 1-D arrays, giving a float, or one pair of
-    two-atom measures per row of 2-D arrays, giving an array of row sums.
+    Takes one aligned pair as 1-D arrays, giving a float, or one aligned
+    pair per row of 2-D arrays, giving an array of row sums.
     """
     if f.base is not None:
         f, a, b = f.base, b, a
@@ -74,8 +74,10 @@ def _divergence_rows(f: Generator, a: np.ndarray, b: np.ndarray):
         rows[outside] = a[outside] * f.slope_at_inf
     if b.ndim == 1:
         return math.fsum(rows.tolist())
-    # a correctly rounded two-term sum; adding 0.0 turns -0.0 into fsum's +0.0
-    return rows[:, 0] + rows[:, 1] + 0.0
+    if b.shape[1] == 2:
+        # a correctly rounded two-term sum; adding 0.0 turns -0.0 into fsum's +0.0
+        return rows[:, 0] + rows[:, 1] + 0.0
+    return np.array([math.fsum(row) for row in rows.tolist()])
 
 
 def d_f(f: Generator, mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> DivergenceValue:

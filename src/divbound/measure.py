@@ -123,13 +123,7 @@ class ProbabilityMeasure(SignedMeasure):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if np.any(self.weights < 0.0):
-            raise InvalidMeasure("probability weights must be nonnegative")
-        if abs(self.total() - 1.0) > PROBABILITY_SUM_TOL:
-            raise InvalidMeasure(
-                f"probability weights must sum to 1 within {PROBABILITY_SUM_TOL}, "
-                f"got {self.total()!r}"
-            )
+        _check_probability_weights(self.weights)
 
     @classmethod
     def normalized(cls, pairs: Iterable[tuple[str, float]]) -> "ProbabilityMeasure":
@@ -179,9 +173,27 @@ def _selected(m: SignedMeasure, within: Iterable[str] | None) -> np.ndarray:
     return m.weights[np.array([a in keys for a in m.atoms], dtype=bool)]
 
 
-def _ordered_sum(values: np.ndarray) -> float:
-    # plain left-to-right accumulation in atom order; see module docstring
-    return functools.reduce(operator.add, values.tolist(), 0.0)
+def _ordered_sum(values: np.ndarray):
+    # plain left-to-right accumulation in atom order along the last axis, so
+    # a matrix gives one sum per row; see module docstring
+    if values.ndim == 1:
+        return functools.reduce(operator.add, values.tolist(), 0.0)
+    return functools.reduce(operator.add, np.moveaxis(values, -1, 0), np.zeros(values.shape[:-1]))
+
+
+def _check_probability_weights(weights: np.ndarray) -> None:
+    """ProbabilityMeasure's weight checks, on one weight vector or on every row of a matrix."""
+    if not np.all(np.isfinite(weights)):
+        raise InvalidMeasure("weights must be finite")
+    if np.any(weights < 0.0):
+        raise InvalidMeasure("probability weights must be nonnegative")
+    totals = np.atleast_1d(_ordered_sum(weights))
+    off = np.abs(totals - 1.0) > PROBABILITY_SUM_TOL
+    if off.any():
+        raise InvalidMeasure(
+            f"probability weights must sum to 1 within {PROBABILITY_SUM_TOL}, "
+            f"got {float(totals[off][0])!r}"
+        )
 
 
 def align(
@@ -236,9 +248,11 @@ def total_variation_norm(nu: SignedMeasure) -> float:
 
 
 def tv_distance(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> float:
-    """Total variation distance sum_i |mu_i - nu_i|, in [0, 2].
+    """Total variation distance sum_i |mu_i - nu_i|.
 
     Equals twice the largest discrepancy |mu(B) - nu(B)| over subsets B.
+    It lies in [0, 2] for exact probability measures; since each measure
+    may sum to 1 within 1e-9, a disjoint pair can reach 2 + 2e-9.
     """
     _, a, b = align(mu, nu)
     return _ordered_sum(np.abs(a - b))

@@ -8,7 +8,16 @@ import struct
 import numpy as np
 from hypothesis import strategies as st
 
-from divbound import ProbabilityMeasure, SignedMeasure, phi
+from divbound import (
+    ProbabilityMeasure,
+    SignedMeasure,
+    VerificationReport,
+    d_f,
+    lower_bound,
+    phi,
+    random_pair,
+    tv_distance,
+)
 
 
 def atoms(n: int) -> tuple[str, ...]:
@@ -58,6 +67,25 @@ def check_monotone_loop(f, grid_size: int) -> bool:
             return False
         previous = current
     return True
+
+
+def verify_bound_loop(f, trials: int, max_support: int, seed: int) -> VerificationReport:
+    """Reference soundness sweep: one random_pair, d_f and lower_bound per trial, in trial order."""
+    worst = -math.inf
+    worst_pair = None
+    for k in range(trials):
+        n = 2 + k % (max_support - 1)
+        mu, nu = random_pair(n, seed + k * (1 << 64))
+        div = d_f(f, mu, nu).value
+        if math.isinf(div):
+            violation = 0.0
+        else:
+            violation = lower_bound(f, tv_distance(mu, nu)) - div
+        if violation > worst:
+            worst = violation
+            worst_pair = (mu, nu)
+    assert worst_pair is not None
+    return VerificationReport(f.name, trials, worst, worst_pair, seed)
 
 
 def align_per_atom(a: SignedMeasure, b: SignedMeasure):

@@ -14,6 +14,7 @@ from divbound import (
     DomainError,
     Generator,
     NonMonotoneGenerator,
+    ProbabilityMeasure,
     TvCertificate,
     bretagnolle_huber,
     bretagnolle_huber_certificate,
@@ -28,7 +29,7 @@ from divbound import (
     phi,
     tv_distance,
 )
-from helpers import check_monotone_loop, pm, probability_pairs
+from helpers import bits, check_monotone_loop, ordered_sum, pm, probability_pairs
 
 # high-precision evaluations of the closed forms
 PHI_KL_QUARTER = 0.0631678848039265       # 1.25*log(1.25) + 0.75*log(0.75)
@@ -90,6 +91,17 @@ class TestLowerBound:
         for t in (-0.1, 2.1):
             with pytest.raises(DomainError):
                 lower_bound(builtin("KL"), t)
+
+    def test_disjoint_pair_within_sum_tolerance_counts_as_two(self):
+        mu = ProbabilityMeasure(("a", "b"), [1 + 5e-10, 0.0])
+        nu = ProbabilityMeasure(("a", "b"), [0.0, 1 + 5e-10])
+        t = tv_distance(mu, nu)
+        assert bits(t) == bits(ordered_sum([1 + 5e-10, 1 + 5e-10]))
+        assert t > 2.0
+        for name in BUILTIN_NAMES:
+            f = builtin(name)
+            assert bits(lower_bound(f, t)) == bits(lower_bound(f, 2.0))
+            assert bits(lower_bound(f, 2.0 + 2e-9)) == bits(lower_bound(f, 2.0))
 
     @given(probability_pairs())
     @settings(max_examples=200, deadline=None)

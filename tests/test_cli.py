@@ -191,6 +191,14 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--gen", "he", "--trials", "0")
         assert code == 3
 
+    @pytest.mark.parametrize("max_support", ("8", "64"))
+    @pytest.mark.parametrize("gen", ("he", "tv", "kl", "pe", "sh"))
+    def test_golden_report(self, capsys, gen, max_support):
+        code, out, _ = run(capsys, "verify", "--gen", gen, "--trials", "2000", "--seed", "7",
+                           "--max-support", max_support, "--precision", "17")
+        assert code == 0
+        assert out == (FIXTURES / f"verify_{gen}_{max_support}.json").read_text()
+
 
 class TestScan:
     def test_csv_structure(self, capsys):

@@ -164,6 +164,17 @@ class TestRowSums:
             got = _divergence_rows(f, a, b)
             assert [bits(v) for v in got.tolist()] == [bits(v) for v in expected]
 
+    @pytest.mark.parametrize("width", (3, 8))
+    def test_wide_rows_match_the_one_pair_kernel(self, width):
+        rng = np.random.default_rng(width)
+        a, b = rng.dirichlet(np.ones(width), 200), rng.dirichlet(np.ones(width), 200)
+        a[:20, 0] = 0.0  # atoms without mu-mass reach a conjugate's slope term
+        for name in BUILTIN_NAMES:
+            for f in (builtin(name), dual(builtin(name))):
+                got = _divergence_rows(f, a, b)
+                expected = [_divergence_rows(f, x, y) for x, y in zip(a, b)]
+                assert [bits(v) for v in got.tolist()] == [bits(v) for v in expected]
+
     def test_negative_zero_terms_sum_to_positive_zero(self):
         g = Generator("negzero", lambda x: -0.0 * (x - 1.0) ** 2, -0.0, None)
         got = _divergence_rows(g, np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]))

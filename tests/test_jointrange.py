@@ -9,15 +9,18 @@ import pytest
 from divbound import (
     BUILTIN_NAMES,
     DomainError,
+    Generator,
     builtin,
     d_f,
+    dual,
     random_pair,
     scan_binary,
     scan_to_csv,
     tightness_gap,
     verify_bound,
 )
-from helpers import bits, pm
+from divbound.jointrange import _exponential_rows
+from helpers import bits, pm, verify_bound_loop
 
 # 0.5*log(4/3) and phi_KL(0.25), both at 50 digits
 KL_EXAMPLE = 0.14384103622589045
@@ -139,6 +142,55 @@ class TestVerifyBound:
             verify_bound(builtin("KL"), 0, 4, 1)
         with pytest.raises(DomainError):
             verify_bound(builtin("KL"), 10, 1, 1)
+
+
+SWEEP_GENERATORS = {name: builtin(name) for name in BUILTIN_NAMES}
+SWEEP_GENERATORS.update({"dual(HE)": dual(builtin("HE")), "dual(KL)": dual(builtin("KL"))})
+
+# (trials, max_support): one group, empty groups, TV's ties at 0.0, and a
+# max_support far above the trial count
+SWEEP_CASES = ((1, 2), (5, 3), (63, 64), (200, 8), (130, 64), (3, 10**9))
+
+
+class TestBlockedSweep:
+    """verify_bound evaluates support-size blocks; the per-trial loop is the oracle."""
+
+    @pytest.mark.parametrize("seed", (0, 7, 20240917))
+    @pytest.mark.parametrize("name", sorted(SWEEP_GENERATORS))
+    def test_report_equals_per_trial_loop(self, name, seed):
+        f = SWEEP_GENERATORS[name]
+        for trials, max_support in SWEEP_CASES:
+            got = verify_bound(f, trials, max_support, seed)
+            want = verify_bound_loop(f, trials, max_support, seed)
+            case = (trials, max_support)
+            assert bits(got.max_violation) == bits(want.max_violation), case
+            for g, w in zip(got.worst_pair, want.worst_pair):
+                assert g.atoms == w.atoms, case
+                assert g.weights.tobytes() == w.weights.tobytes(), case
+            assert (got.generator_name, got.trials, got.seed) == (f.name, trials, seed)
+
+    @pytest.mark.parametrize("f", [
+        # NaN above 2: NaN violations must never win the merge
+        Generator("nan-above-2", lambda x: np.where(x > 2.0, np.nan, (x - 1.0) ** 2), 1.0),
+        # divergences are roundoff around 0, many in d_f's clamped range [-1e-12, 0)
+        Generator("linear", lambda x: x - 1.0, -1.0),
+    ], ids=lambda f: f.name)
+    def test_custom_generators_match_per_trial_loop(self, f):
+        for trials, max_support in ((200, 8), (130, 64)):
+            got = verify_bound(f, trials, max_support, 7)
+            want = verify_bound_loop(f, trials, max_support, 7)
+            assert not math.isnan(want.max_violation)
+            assert bits(got.max_violation) == bits(want.max_violation)
+            assert got.worst_pair == want.worst_pair
+
+    @pytest.mark.parametrize("seed", (0, (1 << 64) - 1))
+    @pytest.mark.parametrize("width", (4, 5, 7, 128))
+    def test_rekeyed_rows_equal_fresh_philox_streams(self, seed, width):
+        rng = np.random.Generator(np.random.Philox())
+        rows = _exponential_rows(rng, seed, range(10_000), width)
+        for k, row in enumerate(rows):
+            fresh = np.random.Generator(np.random.Philox(key=seed + k * (1 << 64)))
+            assert row.tobytes() == fresh.standard_exponential(width, method="inv").tobytes(), k
 
 
 class TestTightnessGap:

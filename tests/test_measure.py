@@ -21,6 +21,7 @@ from divbound import (
     tv_distance,
     tv_via_density,
 )
+from divbound.measure import _check_probability_weights, _ordered_sum
 from helpers import (
     align_per_atom,
     atoms,
@@ -312,6 +313,30 @@ class TestOrderedSums:
         assert bits(m.total()) == bits(ordered_sum(weights))
         assert bits(tv_distance(m, zero)) == bits(ordered_sum(abs(w) for w in weights))
         assert bits(tv_via_density(zero, sm(*[1.0] * len(weights)))) == bits(float(len(weights)))
+
+
+    def test_rows_of_a_matrix(self):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((50, 7)) * 10.0 ** rng.integers(-8, 8, (50, 7))
+        values[0] = -0.0
+        got = _ordered_sum(values)
+        assert [bits(x) for x in got.tolist()] == [bits(ordered_sum(row)) for row in values]
+
+
+class TestProbabilityRows:
+    """Row checks raise where constructing each row as a ProbabilityMeasure would."""
+
+    @pytest.mark.parametrize("bad", [(0.5, math.nan), (0.5, math.inf), (1.5, -0.5), (0.5, 0.5 + 2e-9)])
+    def test_bad_row_raises_like_construction(self, bad):
+        rows = np.array([(0.25, 0.75), bad, (0.5, 0.5)])
+        with pytest.raises(InvalidMeasure) as from_rows:
+            _check_probability_weights(rows)
+        with pytest.raises(InvalidMeasure) as from_measure:
+            pm(*bad)
+        assert str(from_rows.value) == str(from_measure.value)
+
+    def test_rows_within_tolerance_pass(self):
+        _check_probability_weights(np.array([(0.25, 0.75), (0.5, 0.5 + 5e-10), (1.0, 0.0)]))
 
 
 class TestAlignPerAtom:
