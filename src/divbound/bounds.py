@@ -18,6 +18,7 @@ inversion.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ _METHODS = (METHOD_NUMERIC, METHOD_BRETAGNOLLE_HUBER, METHOD_HELLINGER)
 # bracket width on the TV scale at which bisection stops
 _BISECTION_TOL = 1e-10
 _MONOTONE_GRID = 1001
+# id(generator) -> check_monotone verdict; an entry goes when its generator does
+_MONOTONE: dict[int, bool] = {}
 
 
 def phi(f: Generator, t: float) -> float:
@@ -138,6 +141,67 @@ def check_monotone(f: Generator, grid_size: int) -> bool:
         return not np.any(both_inf | falls | ~(current - previous > 1e-12))
 
 
+def _kl_seed(d: float) -> float:
+    """Newton's method on (1+t)log1p(t) + (1-t)log1p(-t) = d, which has no closed form.
+
+    The start sqrt(d) lies right of the root (phi >= t**2) and phi is
+    convex, so the iterates fall monotonically onto it.  Below 1e-6 the
+    derivative vanishes and sqrt(d) is already within d**1.5 / 12.
+    """
+    t = math.sqrt(d)
+    if t < 1e-6:
+        return t
+    t = min(t, 1.0 - 2.0**-53)
+    for _ in range(50):
+        step = ((1.0 + t) * math.log1p(t) + (1.0 - t) * math.log1p(-t) - d) / (
+            math.log1p(t) - math.log1p(-t))
+        t -= step
+        if abs(step) <= 2.0**-44:
+            break
+    return t
+
+
+# the t in [0, 1] with phi(t) = d, for d below phi(1): phi is 2t (TV), 2t**2 (PE),
+# -log(1 - t**2) (SH), and 4 - 2(sqrt(1+t) + sqrt(1-t)) (HE), solved without cancellation
+_SEEDS = {
+    "TV": lambda d: d / 2.0,
+    "PE": lambda d: math.sqrt(d / 2.0),
+    "SH": lambda d: math.sqrt(-math.expm1(-d)),
+    "HE": lambda d: (4.0 - d) * math.sqrt(d * (8.0 - d)) / 8.0,
+    "KL": _kl_seed,
+}
+
+
+def _seed_window(f: Generator, d: float) -> tuple[float, float]:
+    """Ends below and above which every bisection midpoint compares as the end does.
+
+    The window [seed - m, seed + m] is wider than the seed's error
+    (about 1e-15 relative) and than the band where floating-point phi
+    rounds across d (about 2**-52 / t wide, where f(1 + t) loses the low
+    bits of t) by a factor of at least 2**10.  An end that passes its
+    check therefore lies outside that band, and floating-point phi stays
+    on that end's side of d at every midpoint beyond it.  An end that
+    fails its check, or leaves (0, 1), is not used.
+    """
+    t = _SEEDS[f.name](d)
+    m = 2.0**-32 if t == 0.0 or t >= 2.0**-8 else 2.0**-40 / t
+    below, above = t - m, t + m
+    if not (below > 0.0 and phi(f, below) <= d):
+        below = -math.inf
+    if not (above < 1.0 and phi(f, above) > d):
+        above = math.inf
+    return below, above
+
+
+def _is_monotone(f: Generator) -> bool:
+    """check_monotone on the invert grid, run once per generator object."""
+    verdict = _MONOTONE.get(id(f))
+    if verdict is None:
+        verdict = _MONOTONE[id(f)] = check_monotone(f, _MONOTONE_GRID)
+        weakref.finalize(f, _MONOTONE.pop, id(f), None)
+    return verdict
+
+
 def invert(f: Generator, d: float) -> TvCertificate:
     """Certified total variation upper bound from a divergence value.
 
@@ -146,23 +210,35 @@ def invert(f: Generator, d: float) -> TvCertificate:
     of the final bracket is reported, so the certificate never
     undershoots the true supremum.  A divergence of at least phi(1),
     including +inf, certifies nothing better than the trivial bound 2.
-    Custom generators are grid-checked for monotonicity first, since a
-    non-convex function would make the sub-level set meaningless.
+
+    For a built-in generator a seed (closed form, or Newton's method for
+    KL) brackets the answer in a narrow window; phi is evaluated at the
+    window's ends, and the midpoints beyond an end that passes its check
+    are decided without evaluating phi.  The midpoints, the comparisons
+    and so the certificate are exactly those of plain bisection.
+
+    Custom generators bisect without a seed.  They are grid-checked for
+    monotonicity first, since a non-convex function would make the
+    sub-level set meaningless; the verdict is computed once per generator
+    object, and a generator that fails raises ``NonMonotoneGenerator`` on
+    every call.
     """
     d = float(d)
     if math.isnan(d) or d < -1e-12:
         raise DomainError(f"divergence values are nonnegative, got {d!r}")
     d = max(d, 0.0)
-    if not is_builtin(f) and not check_monotone(f, _MONOTONE_GRID):
+    seeded = is_builtin(f)
+    if not seeded and not _is_monotone(f):
         raise NonMonotoneGenerator(
             f"bound function of generator {f.name!r} is not nondecreasing on [0, 1]"
         )
     if phi(f, 1.0) <= d:
         return TvCertificate(f.name, d, 2.0, METHOD_NUMERIC)
+    below, above = _seed_window(f, d) if seeded else (-math.inf, math.inf)
     lo, hi = 0.0, 1.0
     while 2.0 * (hi - lo) > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if phi(f, mid) <= d:
+        if mid <= below or (mid < above and phi(f, mid) <= d):
             lo = mid
         else:
             hi = mid

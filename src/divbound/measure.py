@@ -319,9 +319,13 @@ def _pairs_from_json_dict(data: object) -> list[tuple[str, float]]:
             raise MeasureFormatError(f"atom id must be a string, got {atom!r}")
         if isinstance(w, bool) or not isinstance(w, (int, float)):
             raise MeasureFormatError(f"weight of atom {atom!r} must be a number")
-        if not math.isfinite(float(w)):
+        try:
+            w = float(w)
+        except OverflowError:
+            raise MeasureFormatError(f"weight of atom {atom!r} is too large for a float") from None
+        if not math.isfinite(w):
             raise MeasureFormatError(f"weight of atom {atom!r} must be finite")
-        pairs.append((atom, float(w)))
+        pairs.append((atom, w))
     return pairs
 
 
@@ -351,18 +355,27 @@ def _pairs_from_text(text: str, suffix: str) -> list[tuple[str, float]]:
         return _pairs_from_csv_text(text)
     try:
         data = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except MeasureFormatError:
+        raise
+    except (ValueError, RecursionError) as exc:  # also integers past the digit limit, deep nesting
         raise MeasureFormatError(f"invalid JSON: {exc}") from None
     return _pairs_from_json_dict(data)
 
 
-def read_signed_measure(path: str | Path) -> SignedMeasure:
-    """Load a signed measure from a JSON or CSV file (picked by extension)."""
+def _read_pairs(path: str | Path) -> list[tuple[str, float]]:
     path = Path(path)
-    return SignedMeasure.from_pairs(_pairs_from_text(path.read_text(), path.suffix.lower()))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MeasureFormatError(f"{path} is not UTF-8 text: {exc}") from None
+    return _pairs_from_text(text, path.suffix.lower())
+
+
+def read_signed_measure(path: str | Path) -> SignedMeasure:
+    """Load a signed measure from a UTF-8 JSON or CSV file (picked by extension)."""
+    return SignedMeasure.from_pairs(_read_pairs(path))
 
 
 def read_probability_measure(path: str | Path) -> ProbabilityMeasure:
-    """Load a probability measure from a JSON or CSV file (picked by extension)."""
-    path = Path(path)
-    return ProbabilityMeasure.from_pairs(_pairs_from_text(path.read_text(), path.suffix.lower()))
+    """Load a probability measure from a UTF-8 JSON or CSV file (picked by extension)."""
+    return ProbabilityMeasure.from_pairs(_read_pairs(path))

@@ -69,6 +69,21 @@ def check_monotone_loop(f, grid_size: int) -> bool:
     return True
 
 
+def invert_bisection(f, d: float) -> float:
+    """Reference inversion: plain bisection with one phi evaluation per midpoint; the TV bound."""
+    d = max(float(d), 0.0)
+    if phi(f, 1.0) <= d:
+        return 2.0
+    lo, hi = 0.0, 1.0
+    while 2.0 * (hi - lo) > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if phi(f, mid) <= d:
+            lo = mid
+        else:
+            hi = mid
+    return 2.0 * hi
+
+
 def verify_bound_loop(f, trials: int, max_support: int, seed: int) -> VerificationReport:
     """Reference soundness sweep: one random_pair, d_f and lower_bound per trial, in trial order."""
     worst = -math.inf

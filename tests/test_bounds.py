@@ -8,6 +8,7 @@ import pytest
 import mpmath
 from hypothesis import given, settings
 
+from divbound import bounds
 from divbound import (
     BUILTIN_NAMES,
     BoundFunction,
@@ -27,9 +28,17 @@ from divbound import (
     invert,
     lower_bound,
     phi,
+    tightness_gap,
     tv_distance,
 )
-from helpers import bits, check_monotone_loop, ordered_sum, pm, probability_pairs
+from helpers import (
+    bits,
+    check_monotone_loop,
+    invert_bisection,
+    ordered_sum,
+    pm,
+    probability_pairs,
+)
 
 # high-precision evaluations of the closed forms
 PHI_KL_QUARTER = 0.0631678848039265       # 1.25*log(1.25) + 0.75*log(0.75)
@@ -231,6 +240,134 @@ class TestInvert:
             f = builtin(name)
             cert = invert(f, d_f(f, mu, nu).value)
             assert t <= cert.tv_upper_bound + 1e-8
+
+
+# the d grid of the benchmark's certify workload: 0, 0.005, ..., 3.0
+CERTIFY_GRID = [3.0 * k / 600 for k in range(601)]
+
+
+def _seeded_inputs(f, seed):
+    """The d values the seeded inversion is checked on, for one built-in."""
+    top = min(phi(f, 1.0), 40.0)
+    rng = np.random.default_rng(seed)
+    ds = CERTIFY_GRID + [10.0 ** e for e in range(-320, 1)]
+    ds += rng.uniform(0.0, top, 10_000).tolist()
+    ds += (10.0 ** rng.uniform(-320.0, math.log10(top), 10_000)).tolist()
+    if math.isfinite(phi(f, 1.0)):
+        ds.append(math.nextafter(phi(f, 1.0), 0.0))
+    return ds
+
+
+def _crossing(f, d):
+    """The least float t found by bisecting to adjacent floats with phi(t) > d."""
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if phi(f, mid) <= d:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.fixture
+def monotone_checks(monkeypatch):
+    """The generators check_monotone is called on, in order."""
+    checks = []
+
+    def counted(f, grid_size):
+        checks.append(f)
+        return check_monotone(f, grid_size)
+
+    monkeypatch.setattr(bounds, "check_monotone", counted)
+    return checks
+
+
+class TestSeededInversion:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_bit_identical_to_plain_bisection(self, name):
+        f = builtin(name)
+        for d in _seeded_inputs(f, BUILTIN_NAMES.index(name)):
+            assert bits(invert(f, d).tv_upper_bound) == bits(invert_bisection(f, d)), d
+
+    def test_custom_generators_bit_identical_to_plain_bisection(self):
+        for f in (dual(builtin("HE")), dual(builtin("PE")), dual(builtin("KL"))):
+            for d in CERTIFY_GRID[::10]:
+                assert bits(invert(f, d).tv_upper_bound) == bits(invert_bisection(f, d)), d
+
+    def test_tightness_gap_certifies_the_plain_bisection_bound(self):
+        for name in BUILTIN_NAMES:
+            f = builtin(name)
+            for budget in (0.0, 0.01, 0.3, 1.0, 2.5):
+                certified, achieved, gap = tightness_gap(f, budget, 60)
+                assert bits(certified) == bits(invert_bisection(f, budget))
+                assert gap == certified - achieved
+
+    def test_seed_lies_deep_inside_its_window(self):
+        # the window is sound because it is far wider than the seed's error
+        # plus the band where floating-point phi crosses d
+        for name in BUILTIN_NAMES:
+            f = builtin(name)
+            ds = [d for d in CERTIFY_GRID[::3] + [10.0 ** e for e in range(-320, 1, 4)]
+                  if phi(f, 1.0) > d]
+            for d in ds:
+                t = bounds._SEEDS[name](d)
+                m = 2.0**-32 if t == 0.0 or t >= 2.0**-8 else 2.0**-40 / t
+                assert abs(t - _crossing(f, d)) <= m / 1024, (name, d)
+
+    @pytest.mark.parametrize("shift", (-1e-4, -3e-9, 3e-9, 1e-4))
+    def test_a_wrong_seed_costs_evaluations_not_bits(self, monkeypatch, shift):
+        # an end on the wrong side of the crossing fails its check and goes unused
+        for name in BUILTIN_NAMES:
+            seed = bounds._SEEDS[name]
+            monkeypatch.setitem(bounds._SEEDS, name,
+                                lambda d, seed=seed: min(max(seed(d) + shift, 0.0), 1.0))
+            f = builtin(name)
+            for d in CERTIFY_GRID[::5]:
+                assert bits(invert(f, d).tv_upper_bound) == bits(invert_bisection(f, d)), (name, d)
+
+    def test_at_most_ten_phi_calls_per_bisecting_builtin(self, monkeypatch):
+        calls = []
+
+        def counted(f, t):
+            calls.append(t)
+            return phi(f, t)
+
+        monkeypatch.setattr(bounds, "phi", counted)
+        for name in BUILTIN_NAMES:
+            f = builtin(name)
+            for d in CERTIFY_GRID:
+                if phi(f, 1.0) > d:
+                    calls.clear()
+                    invert(f, d)
+                    assert len(calls) <= 10, (name, d, len(calls))
+
+    def test_monotonicity_verdict_computed_once_per_generator(self, monotone_checks):
+        g = dual(builtin("HE"))
+        for d in (0.0, 0.1, 0.5, 1.0, math.inf):
+            invert(g, d)
+        assert monotone_checks == [g]
+        h = dual(builtin("HE"))
+        invert(h, 0.1)
+        invert(h, 0.2)
+        assert monotone_checks == [g, h]
+        for name in BUILTIN_NAMES:
+            invert(builtin(name), 0.1)
+        assert len(monotone_checks) == 2
+
+    def test_non_monotone_generator_raises_on_every_call(self, monotone_checks):
+        concave = Generator("cap", lambda x: -((x - 1.0) ** 2), -1.0, None)
+        for _ in range(2):
+            with pytest.raises(NonMonotoneGenerator):
+                invert(concave, 0.1)
+        assert monotone_checks == [concave]
+
+    def test_verdict_is_dropped_with_its_generator(self):
+        g = dual(builtin("PE"))
+        invert(g, 0.1)
+        key = id(g)
+        assert key in bounds._MONOTONE
+        del g
+        assert key not in bounds._MONOTONE
 
 
 class TestBretagnolleHuber:

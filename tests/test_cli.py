@@ -169,6 +169,16 @@ class TestInvert:
             assert code == 0
             assert json.loads(out)["tv_upper_bound"] >= 1.5239806949663057
 
+    @pytest.mark.parametrize("gen", ("he", "tv", "kl", "pe", "sh"))
+    def test_golden_certificates(self, capsys, gen):
+        outputs = []
+        for k in range(61):
+            code, out, _ = run(capsys, "invert", "--gen", gen, "--d", repr(k / 20),
+                               "--precision", "17")
+            assert code == 0
+            outputs.append(out)
+        assert "".join(outputs) == (FIXTURES / f"invert_{gen}.json").read_text()
+
     def test_printed_certificate_round_trips(self, capsys):
         code, out, _ = run(capsys, "invert", "--gen", "he", "--d", "0.3")
         assert code == 0
@@ -240,6 +250,21 @@ class TestDecompose:
         code, out, _ = run(capsys, "decompose", "--nu", HALF)
         assert code == 0
         assert json.loads(out)["negative_set"] == []
+
+
+    @pytest.mark.parametrize("name, content", (
+        ("huge.json", b'{"atoms": [{"id": "x", "w": 1' + b"0" * 400 + b"}]}"),
+        ("digits.json", b'{"atoms": [{"id": "x", "w": 1' + b"0" * 4400 + b"}]}"),
+        ("deep.json", b"[" * 200_000 + b"]" * 200_000),
+        ("latin1.csv", b"id,w\xff\n"),
+    ))
+    def test_unreadable_file_exits_2(self, capsys, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, out, err = run(capsys, "decompose", "--nu", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestUsage:

@@ -49,6 +49,21 @@ class TestJson:
         with pytest.raises(MeasureFormatError):
             read_signed_measure(p)
 
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path):
+        p = write(tmp_path, "m.json", '{"atoms": [{"id": "x", "w": 1' + "0" * 400 + "}]}")
+        with pytest.raises(MeasureFormatError, match="too large"):
+            read_signed_measure(p)
+
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path):
+        p = write(tmp_path, "m.json", '{"atoms": [{"id": "x", "w": 1' + "0" * 4400 + "}]}")
+        with pytest.raises(MeasureFormatError, match="invalid JSON"):
+            read_signed_measure(p)
+
+    def test_deep_nesting_rejected(self, tmp_path):
+        p = write(tmp_path, "m.json", "[" * 200_000 + "]" * 200_000)
+        with pytest.raises(MeasureFormatError, match="invalid JSON"):
+            read_signed_measure(p)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         p = write(tmp_path, "m.json",
                   '{"atoms": [{"id": "x", "w": 0.5}, {"id": "x", "w": 0.5}]}')
@@ -91,3 +106,10 @@ class TestCsv:
         p = write(tmp_path, "m.csv", "id,w\na1,0.5,9\n")
         with pytest.raises(MeasureFormatError):
             read_signed_measure(p)
+
+    def test_not_utf8_rejected(self, tmp_path):
+        for name in ("m.csv", "m.json"):
+            p = tmp_path / name
+            p.write_bytes(b"id,w\xff\n")
+            with pytest.raises(MeasureFormatError, match="not UTF-8"):
+                read_probability_measure(p)
