@@ -26,11 +26,11 @@ from .errors import (
     UnknownGenerator,
 )
 from .extreal import DOWN, encode_extended, format_extended, parse_extended
-from .generator import builtin
+from .generator import BUILTIN_NAMES, builtin
 from .jointrange import scan_binary, scan_to_csv, verify_bound
 from .measure import hahn_jordan, read_probability_measure, read_signed_measure
 
-_GENERATOR_CHOICES = ("he", "tv", "kl", "pe", "sh")
+_GENERATOR_CHOICES = tuple(name.lower() for name in BUILTIN_NAMES)
 _DEFAULT_PRECISION = 9
 
 

@@ -79,7 +79,8 @@ class Generator:
 
 
 def _hellinger(x):
-    return (np.sqrt(x) - 1.0) ** 2
+    y = np.sqrt(x) - 1.0
+    return y * y
 
 
 def _total_variation(x):
@@ -91,7 +92,8 @@ def _kullback_leibler(x):
 
 
 def _pearson(x):
-    return (x - 1.0) ** 2
+    y = x - 1.0
+    return y * y
 
 
 def _shannon(x):
@@ -166,14 +168,10 @@ def check_separation(f: Generator, a: float, grid: Iterable[float]) -> bool:
     """Grid-check that g(x) = f(x) - a*(x - 1) is nonnegative and vanishes only near 1.
 
     True iff g >= -1e-12 everywhere on the grid and g > 1e-12 at every
-    grid point with |x - 1| >= 1e-3.
+    grid point with |x - 1| >= 1e-3 (a NaN g fails only there).  One
+    ``eval_array`` pass: a grid point outside [0, inf) raises ``DomainError``.
     """
-    a = float(a)
-    for x in grid:
-        x = float(x)
-        g = f(x) - a * (x - 1.0)
-        if g < -1e-12:
-            return False
-        if abs(x - 1.0) >= 1e-3 and not g > 1e-12:
-            return False
-    return True
+    x = np.fromiter(grid, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        g = f.eval_array(x) - float(a) * (x - 1.0)
+    return not np.any((g < -1e-12) | ((np.abs(x - 1.0) >= 1e-3) & ~(g > 1e-12)))

@@ -19,7 +19,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .bounds import _phi_array, invert, lower_bound
+from .bounds import invert, lower_bound
 from .divergence import _NONNEG_CLAMP, _divergence_rows
 from .errors import DomainError
 from .extreal import UP, encode_extended, format_extended
@@ -138,10 +138,8 @@ def _violations(f: Generator, mu_w: np.ndarray, nu_w: np.ndarray) -> np.ndarray:
     div = _divergence_rows(f, mu_w, nu_w)
     div[(-_NONNEG_CLAMP <= div) & (div < 0.0)] = 0.0  # d_f's roundoff clamp
     tv = _ordered_sum(np.abs(mu_w - nu_w))
-    violation = np.zeros(len(div))
-    finite = ~np.isinf(div)
-    violation[finite] = np.array([lower_bound(f, t) for t in tv[finite].tolist()]) - div[finite]
-    return violation
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(div), 0.0, lower_bound(f, tv) - div)
 
 
 def _open_grid(resolution: int) -> np.ndarray:
@@ -165,12 +163,12 @@ def scan_binary(f: Generator, resolution: int) -> list[ScanRecord]:
     """
     grid = _open_grid(resolution)
     p, q = np.repeat(grid, grid.size), np.tile(grid, grid.size)
-    t = np.abs(p - q)
+    tv = 2.0 * np.abs(p - q)
     div = _divergence_rows(f, _bernoulli(p), _bernoulli(q))
-    floor = _phi_array(f, t)
+    floor = lower_bound(f, tv)
     with np.errstate(invalid="ignore"):
         slack = np.where(np.isinf(div) & np.isinf(floor), 0.0, div - floor)
-    columns = (p, q, 2.0 * t, div, floor, slack)
+    columns = (p, q, tv, div, floor, slack)
     return [ScanRecord(*row) for row in zip(*(c.tolist() for c in columns))]
 
 

@@ -69,6 +69,19 @@ def check_monotone_loop(f, grid_size: int) -> bool:
     return True
 
 
+def check_separation_loop(f, a: float, grid) -> bool:
+    """Reference separation check: one scalar generator call per grid point, until a failure."""
+    a = float(a)
+    for x in grid:
+        x = float(x)
+        g = f(x) - a * (x - 1.0)
+        if g < -1e-12:
+            return False
+        if abs(x - 1.0) >= 1e-3 and not g > 1e-12:
+            return False
+    return True
+
+
 def invert_bisection(f, d: float) -> float:
     """Reference inversion: plain bisection with one phi evaluation per midpoint; the TV bound."""
     d = max(float(d), 0.0)

@@ -98,7 +98,7 @@ class TestLowerBound:
 
     def test_domain(self):
         for t in (-0.1, 2.1):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=f"got {t!r}$"):
                 lower_bound(builtin("KL"), t)
 
     def test_disjoint_pair_within_sum_tolerance_counts_as_two(self):
@@ -111,6 +111,8 @@ class TestLowerBound:
             f = builtin(name)
             assert bits(lower_bound(f, t)) == bits(lower_bound(f, 2.0))
             assert bits(lower_bound(f, 2.0 + 2e-9)) == bits(lower_bound(f, 2.0))
+            floors = lower_bound(f, np.array([t, math.nextafter(2.0, 3.0), 2.0 + 2e-9]))
+            assert floors.tobytes() == np.full(3, lower_bound(f, 2.0)).tobytes()
 
     @given(probability_pairs())
     @settings(max_examples=200, deadline=None)
@@ -119,7 +121,57 @@ class TestLowerBound:
         t = tv_distance(mu, nu)
         for name in BUILTIN_NAMES:
             f = builtin(name)
+            # phi(TV/2) <= D_f, the paper's bound.  1e-9 covers float64 rounding of both
+            # sides here: weights are at least 1e-3/80, so TV/2 <= 1 - 2.5e-5, where
+            # phi' <= 8e4 (SH's 2t/(1 - t^2)) turns TV's rounding, under 1e-14, into at
+            # most 4e-10, and D_f's exact sum is off by a few ULPs of terms below 8e4 (PE)
             assert lower_bound(f, t) <= d_f(f, mu, nu).value + 1e-9
+
+
+# the 5 built-ins and their duals
+WITH_DUALS = [builtin(name) for name in BUILTIN_NAMES]
+WITH_DUALS += [dual(f) for f in WITH_DUALS]
+
+# 2e5 seeded t in [0, 1), the two ends, the smallest subnormal, a small
+# power of two and the largest float below 1
+AGREEMENT_T = np.concatenate([
+    np.random.default_rng(20240917).random(200_000), [0.0, 1.0, 5e-324, 2.0**-30, 1.0 - 2.0**-53]
+])
+
+
+class TestOneFloorPath:
+    """Scalar phi (bisection) and the array floors of lower_bound round alike, bit for bit."""
+
+    @pytest.mark.parametrize("f", WITH_DUALS, ids=lambda f: f.name)
+    def test_scalar_phi_equals_array_phi(self, f):
+        array = bounds._phi_array(f, AGREEMENT_T)
+        scalar = np.array([phi(f, t) for t in AGREEMENT_T.tolist()])
+        differ = np.flatnonzero(array.view(np.int64) != scalar.view(np.int64))
+        assert differ.size == 0, (differ.size, AGREEMENT_T[differ[:5]].tolist())
+
+    @pytest.mark.parametrize("f", WITH_DUALS, ids=lambda f: f.name)
+    def test_array_floors_equal_scalar_floors(self, f):
+        tv = np.concatenate([2.0 * AGREEMENT_T, [2.0, math.nextafter(2.0, 3.0), 2.0 + 2e-9]])
+        floors = lower_bound(f, tv)
+        assert isinstance(floors, np.ndarray) and floors.shape == tv.shape
+        assert floors.tobytes() == bounds._phi_array(f, np.minimum(tv, 2.0) / 2.0).tobytes()
+        for i in [*range(0, tv.size, 100), *range(tv.size - 8, tv.size)]:
+            t = float(tv[i])
+            scalar = lower_bound(f, t)
+            assert type(scalar) is float
+            assert bits(floors[i]) == bits(scalar) == bits(phi(f, min(t, 2.0) / 2.0)), t
+
+    @pytest.mark.parametrize("bad", [math.nan, -5e-324, -0.1, math.nextafter(2.0 + 2e-9, 3.0),
+                                     2.1, math.inf])
+    def test_array_with_a_bad_value_raises(self, bad):
+        for f in WITH_DUALS:
+            with pytest.raises(DomainError, match=f"got {bad!r}$"):
+                lower_bound(f, np.array([0.5, bad, 1.0]))
+            with pytest.raises(DomainError, match=f"got {bad!r}$"):
+                lower_bound(f, bad)
+
+    def test_empty_array_gives_no_floors(self):
+        assert lower_bound(builtin("KL"), np.array([])).shape == (0,)
 
 
 class TestCheckMonotone:
@@ -229,6 +281,10 @@ class TestInvert:
         for name in BUILTIN_NAMES:
             f = builtin(name)
             cert = invert(f, d_f(f, mu, nu).value)
+            # TV <= invert(D_f): phi(TV/2) <= D_f and phi is nondecreasing, so TV lies in
+            # the sub-level set whose supremum the certificate bounds from above.  A
+            # rounding error e in D_f moves that supremum by at most 2e/phi'(TV/2); here
+            # phi'(0.3) >= 0.3 and e is a few ULPs of values below 1, so under 1e-14
             assert tv_distance(mu, nu) <= cert.tv_upper_bound + 1e-8
 
     @given(probability_pairs())
@@ -239,6 +295,14 @@ class TestInvert:
         for name in BUILTIN_NAMES:
             f = builtin(name)
             cert = invert(f, d_f(f, mu, nu).value)
+            # TV <= invert(D_f), as in test_certificate_is_sound_for_its_own_pair; the
+            # supremum moves by at most 2e/phi'(TV/2) for an error e in D_f.  HE and PE
+            # have slope 0 at x = 1, so their terms err in proportion to |mu_i - nu_i|
+            # and the shift stays near 1e-15; TV's D_f is the TV itself.  KL and SH have
+            # slope 1 and -1 there, so the weights' mass error (sums off 1 by about
+            # 1e-16) enters D_f to first order: on pairs closer than about 1e-7 in TV it
+            # puts D_f below phi(TV/2) and the shift reaches 2.3e-8, a defect of d_f
+            # that the examples drawn so far have not reached
             assert t <= cert.tv_upper_bound + 1e-8
 
 

@@ -18,6 +18,7 @@ from divbound import (
     dual,
     is_builtin,
 )
+from helpers import check_separation_loop
 
 ALL = [builtin(name) for name in BUILTIN_NAMES]
 POSITIVE_GRID = default_grid()[1:]  # (0, 10] in steps of 0.01
@@ -89,6 +90,14 @@ class TestBuiltins:
         xs = np.array([0.0, 0.5, 1.0, 2.0, 7.5])
         for f in ALL:
             assert np.array_equal(f.eval_array(xs), np.array([f(x) for x in xs]))
+
+    def test_squares_round_alike_on_scalars_and_arrays(self):
+        # a float ** 2 goes through libm pow, which rounds some squares apart from
+        # y * y and raises OverflowError for |y| above 1.34e154
+        xs = np.array([1e300, 7.25, 0.123456789, 1e-300])
+        for f in ALL:
+            assert f.eval_array(xs).tobytes() == np.array([f(x) for x in xs.tolist()]).tobytes()
+        assert builtin("PE")(1e300) == math.inf
 
     def test_eval_array_scalar_only_function(self):
         g = Generator("logchord", lambda x: math.log(x) * (x - 1.0), math.inf)
@@ -179,6 +188,12 @@ class TestDual:
         assert dual(builtin("KL")).name == "KL*"
 
 
+# the points where the 1e-3 rule switches, and neighbours on both sides of 1
+NEAR_ONE_GRID = [1.0 - 2e-3, 1.0 - 1e-3, 1.0 - 5e-4, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 5e-4,
+                 1.0 + 1e-3, 1.0 + 2e-3]
+COEFFICIENTS = [-2.0, -1.0, -0.5, 0.0, 1e-13, 0.5, 1.0, 2.0, math.inf, math.nan]
+
+
 class TestSeparation:
     def test_kl_with_unit_coefficient(self):
         assert check_separation(builtin("KL"), 1.0, default_grid())
@@ -208,3 +223,35 @@ class TestSeparation:
             (x - 1.0) ** 2 - a * (x - 1.0) > 1e-12 for x in grid if abs(x - 1.0) >= 1e-3
         )
         assert check_separation(builtin("PE"), a, grid) == expected
+        assert check_separation_loop(builtin("PE"), a, grid) == expected
+
+    @pytest.mark.parametrize("f", ALL + [dual(f) for f in ALL], ids=lambda f: f.name)
+    def test_verdicts_match_scalar_loop(self, f):
+        grids = [default_grid(), NEAR_ONE_GRID, [], [1.0], [0.0, 1.0, 1e300]]
+        for a in COEFFICIENTS + [f.separation_coefficient or 0.0]:
+            for grid in grids:
+                assert check_separation(f, a, grid) == check_separation_loop(f, a, grid), (a, grid)
+
+    @pytest.mark.parametrize("f, verdict", [
+        # NaN only within 5e-4 of 1, where the check asks for g >= -1e-12 alone: passes
+        (Generator("nan-near-1", lambda x: np.where((x != 1.0) & (np.abs(x - 1.0) < 5e-4),
+                                                    np.nan, (x - 1.0) ** 2), 1.0), True),
+        # NaN only above 5, where the check asks for g > 1e-12: fails
+        (Generator("nan-above-5", lambda x: np.where(x > 5.0, np.nan, (x - 1.0) ** 2), 1.0), False),
+    ], ids=("nan-near-1", "nan-above-5"))
+    def test_nan_verdicts_match_scalar_loop(self, f, verdict):
+        for grid in (default_grid(), NEAR_ONE_GRID):
+            for a in (0.0, 0.5):
+                assert check_separation(f, a, grid) == check_separation_loop(f, a, grid)
+        assert check_separation(f, 0.0, NEAR_ONE_GRID + [7.0]) is verdict
+
+    def test_grid_point_outside_the_domain_raises(self):
+        for bad in (-0.5, math.nan):
+            with pytest.raises(DomainError):
+                check_separation(builtin("PE"), 0.0, [0.5, bad, 2.0])
+
+    def test_accepts_any_iterable_grid(self):
+        grid = [0.0, 0.5, 2.0, 5.0]
+        for g in (grid, tuple(grid), iter(grid), np.array(grid), (x for x in grid)):
+            assert check_separation(builtin("KL"), 1.0, g)
+

@@ -13,6 +13,8 @@ from divbound import (
     builtin,
     d_f,
     dual,
+    lower_bound,
+    phi,
     random_pair,
     scan_binary,
     scan_to_csv,
@@ -87,6 +89,18 @@ class TestScanBinary:
         for r in scan_binary(f, 15):
             value = d_f(f, pm(r.p, 1.0 - r.p), pm(r.q, 1.0 - r.q)).value
             assert bits(r.divergence) == bits(value)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_floor_column_equals_lower_bound_of_the_tv_column(self, name):
+        # at resolution 250, squares taken through libm pow moved 116 PE floors by one ULP
+        f = builtin(name)
+        records = scan_binary(f, 250)
+        floors = np.array([r.lower_bound for r in records])
+        assert floors.tobytes() == lower_bound(f, np.array([r.tv for r in records])).tobytes()
+        for r in records:
+            assert bits(r.lower_bound) == bits(phi(f, r.tv / 2.0)), r
+        for r in records[::97]:
+            assert bits(r.lower_bound) == bits(lower_bound(f, r.tv)), r
 
     def test_record_count_and_domain(self):
         assert len(scan_binary(builtin("PE"), 7)) == 49
