@@ -146,8 +146,7 @@ def _cmd_verify(args: argparse.Namespace, precision: int) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace, precision: int) -> int:
-    records = scan_binary(builtin(args.gen), args.resolution)
-    scan_to_csv(records, sys.stdout, precision)
+    scan_to_csv(scan_binary(builtin(args.gen), args.resolution), sys.stdout, precision)
     return 0
 
 

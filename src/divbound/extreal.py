@@ -38,18 +38,20 @@ def parse_extended(text: str) -> float:
     return value
 
 
+def _nearest_format(precision: int) -> str:
+    return f"%.{int(precision)}g"  # prints one float to nearest, as format_extended does
+
+
 def format_extended(x: float, precision: int = 9, rounding: str | None = None) -> str:
     """Render a value with the given number of significant digits, or ``"inf"``.
 
-    ``rounding`` is None (to nearest), ``UP`` (for upper bounds) or
-    ``DOWN`` (for floors).  Directed rounding keeps the nearest result
-    unless it lies on the wrong side of ``x``.
+    ``rounding`` is None (to nearest: exactly ``"%.{precision}g" % x`` for
+    every float), ``UP`` (for upper bounds) or ``DOWN`` (for floors).  Directed
+    rounding keeps the nearest result unless it lies on the wrong side of ``x``.
     """
     x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     precision = int(precision)
-    text = f"{x:.{precision}g}"
+    text = _nearest_format(precision) % x
     if rounding is None or (float(text) >= x if rounding == UP else float(text) <= x):
         return text
     d = Context(prec=precision, rounding=rounding).normalize(Decimal(x))

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
 from .bounds import invert, lower_bound
 from .divergence import _NONNEG_CLAMP, _divergence_rows
 from .errors import DomainError
-from .extreal import UP, encode_extended, format_extended
+from .extreal import UP, _nearest_format, encode_extended
 from .generator import Generator
 from .measure import ProbabilityMeasure, _check_probability_weights, _ordered_sum
 
@@ -34,9 +34,8 @@ _TRIAL_STRIDE = 1 << 64
 _BLOCK_ATOMS = 1 << 13
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One binary-alphabet sample of the two sides of the bound.
+class ScanRecord(NamedTuple):
+    """One binary-alphabet sample of the two sides of the bound, as a named tuple.
 
     ``slack`` is divergence minus lower bound; soundness means it is
     never below -1e-9.
@@ -169,7 +168,7 @@ def scan_binary(f: Generator, resolution: int) -> list[ScanRecord]:
     with np.errstate(invalid="ignore"):
         slack = np.where(np.isinf(div) & np.isinf(floor), 0.0, div - floor)
     columns = (p, q, tv, div, floor, slack)
-    return [ScanRecord(*row) for row in zip(*(c.tolist() for c in columns))]
+    return list(map(ScanRecord._make, zip(*(c.tolist() for c in columns))))
 
 
 def verify_bound(
@@ -241,8 +240,7 @@ def tightness_gap(
 
 
 def scan_to_csv(records: Iterable[ScanRecord], stream: IO[str], precision: int = 9) -> None:
-    """Write scan records as CSV with columns p,q,tv,divergence,lower_bound,slack."""
-    stream.write("p,q,tv,divergence,lower_bound,slack\n")
-    for r in records:
-        row = (r.p, r.q, r.tv, r.divergence, r.lower_bound, r.slack)
-        stream.write(",".join(format_extended(x, precision) for x in row) + "\n")
+    """Write scan records as CSV: field names, then each record's cells as ``%.{precision}g``."""
+    template = ",".join([_nearest_format(precision)] * len(ScanRecord._fields)) + "\n"
+    stream.write(",".join(ScanRecord._fields) + "\n")
+    stream.writelines(template % record for record in records)

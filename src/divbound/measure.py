@@ -365,7 +365,7 @@ def _pairs_from_text(text: str, suffix: str) -> list[tuple[str, float]]:
 def _read_pairs(path: str | Path) -> list[tuple[str, float]]:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MeasureFormatError(f"{path} is not UTF-8 text: {exc}") from None
     return _pairs_from_text(text, path.suffix.lower())

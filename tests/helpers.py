@@ -13,6 +13,7 @@ from divbound import (
     SignedMeasure,
     VerificationReport,
     d_f,
+    format_extended,
     lower_bound,
     phi,
     random_pair,
@@ -80,6 +81,14 @@ def check_separation_loop(f, a: float, grid) -> bool:
         if abs(x - 1.0) >= 1e-3 and not g > 1e-12:
             return False
     return True
+
+
+def scan_to_csv_cells(records, stream, precision: int = 9) -> None:
+    """Reference scan CSV writer: one format_extended call per cell, rounded to nearest."""
+    stream.write("p,q,tv,divergence,lower_bound,slack\n")
+    for r in records:
+        row = (r.p, r.q, r.tv, r.divergence, r.lower_bound, r.slack)
+        stream.write(",".join(format_extended(x, precision) for x in row) + "\n")
 
 
 def invert_bisection(f, d: float) -> float:

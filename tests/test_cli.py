@@ -46,6 +46,13 @@ class TestCompute:
         assert code == 0
         assert out.strip() == "inf"
 
+    def test_csv_with_byte_order_mark(self, capsys, tmp_path):
+        marked = tmp_path / "half.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(HALF_CSV).read_bytes())
+        expected = run(capsys, "compute", "--gen", "kl", "--mu", HALF_CSV, "--nu", QUARTER)
+        assert run(capsys, "compute", "--gen", "kl", "--mu", str(marked), "--nu", QUARTER) == expected
+        assert expected[0] == 0
+
     def test_absolute_continuity_violation_exits_3(self, capsys):
         code, _, err = run(capsys, "compute", "--gen", "sh", "--mu", HALF, "--nu", POINT)
         assert code == 3
@@ -227,6 +234,12 @@ class TestScan:
         assert code == 0
         assert "-0" not in out.replace("\n", ",").split(",")
 
+    @pytest.mark.parametrize("gen", ("he", "tv", "kl", "pe", "sh"))
+    def test_golden_scan(self, capsys, gen):
+        code, out, _ = run(capsys, "scan", "--gen", gen, "--resolution", "12", "--precision", "17")
+        assert code == 0
+        assert out == (FIXTURES / f"scan_{gen}.csv").read_text()
+
 
 class TestDecompose:
     def test_mixed_fixture(self, capsys):
@@ -257,6 +270,7 @@ class TestDecompose:
         ("digits.json", b'{"atoms": [{"id": "x", "w": 1' + b"0" * 4400 + b"}]}"),
         ("deep.json", b"[" * 200_000 + b"]" * 200_000),
         ("latin1.csv", b"id,w\xff\n"),
+        ("latin1.json", b'{"atoms": [{"id": "\xe9", "w": 1}]}'),
     ))
     def test_unreadable_file_exits_2(self, capsys, tmp_path, name, content):
         path = tmp_path / name

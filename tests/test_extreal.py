@@ -48,6 +48,24 @@ class TestFormatExtended:
         assert format_extended(math.inf, 3, UP) == "inf"
         assert format_extended(-math.inf) == "-inf"
 
+    @pytest.mark.parametrize("rounding", [None, UP, DOWN])
+    def test_infinities_under_every_rounding(self, rounding):
+        for precision in range(1, 18):
+            assert format_extended(math.inf, precision, rounding) == "inf"
+            assert format_extended(-math.inf, precision, rounding) == "-inf"
+
+    @pytest.mark.parametrize("rounding", [None, UP, DOWN])
+    def test_nan(self, rounding):
+        expected = "nan" if rounding is None else "NaN"
+        for precision in range(1, 18):
+            assert format_extended(math.nan, precision, rounding) == expected
+            assert format_extended(-math.nan, precision, rounding) == expected
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1e300, 1e16])
+    def test_nearest_is_python_g_format_on_special_values(self, x):
+        for precision in range(1, 18):
+            assert format_extended(x, precision) == f"{x:.{precision}g}" == "%.*g" % (precision, x)
+
 
 class TestEncodeExtended:
     def test_exact_without_precision(self):

@@ -10,6 +10,7 @@ from divbound import (
     BUILTIN_NAMES,
     DomainError,
     Generator,
+    ScanRecord,
     builtin,
     d_f,
     dual,
@@ -22,12 +23,15 @@ from divbound import (
     verify_bound,
 )
 from divbound.jointrange import _exponential_rows
-from helpers import bits, pm, verify_bound_loop
+from helpers import bits, pm, scan_to_csv_cells, verify_bound_loop
 
 # 0.5*log(4/3) and phi_KL(0.25), both at 50 digits
 KL_EXAMPLE = 0.14384103622589045
 PHI_KL_QUARTER = 0.0631678848039265
 SLACK_EXAMPLE = 0.08067315142196396
+
+WITH_DUALS = [builtin(name) for name in BUILTIN_NAMES]
+WITH_DUALS += [dual(f) for f in WITH_DUALS]
 
 
 class TestRandomPair:
@@ -116,6 +120,57 @@ class TestScanBinary:
         cells = lines[1].split(",")
         assert len(cells) == 6
         float(cells[2])  # parses
+
+
+class TestScanRecord:
+    def test_fields_in_csv_order(self):
+        assert ScanRecord._fields == ("p", "q", "tv", "divergence", "lower_bound", "slack")
+
+    def test_repr(self):
+        r = ScanRecord(0.5, 0.25, 0.5, 0.1, 0.05, 0.05)
+        assert repr(r) == (
+            "ScanRecord(p=0.5, q=0.25, tv=0.5, divergence=0.1, lower_bound=0.05, slack=0.05)"
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        r = ScanRecord(0.5, 0.25, 0.5, 0.1, 0.05, 0.05)
+        for name in ScanRecord._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0.0)
+        assert r == (0.5, 0.25, 0.5, 0.1, 0.05, 0.05)
+
+    def test_scan_returns_a_list_of_records(self):
+        records = scan_binary(builtin("KL"), 4)
+        assert type(records) is list
+        assert all(type(r) is ScanRecord for r in records)
+
+
+class TestScanToCsv:
+    @pytest.mark.parametrize("f", WITH_DUALS, ids=lambda f: f.name)
+    def test_equals_per_cell_formatting(self, f):
+        records = scan_binary(f, 200)
+        for precision in range(1, 18):
+            expected, actual = io.StringIO(), io.StringIO()
+            scan_to_csv_cells(records, expected, precision)
+            scan_to_csv(records, actual, precision)
+            assert actual.getvalue() == expected.getvalue(), precision
+
+    def test_special_values_equal_per_cell_formatting(self):
+        specials = (math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1e300, 1e16)
+        records = [ScanRecord._make((specials * 2)[k:k + 6]) for k in range(len(specials))]
+        for precision in range(1, 18):
+            expected, actual = io.StringIO(), io.StringIO()
+            scan_to_csv_cells(records, expected, precision)
+            scan_to_csv(records, actual, precision)
+            assert actual.getvalue() == expected.getvalue(), precision
+        assert actual.getvalue().splitlines()[1] == "inf,-inf,nan,0,-0,4.9406564584124654e-324"
+
+    def test_default_precision_is_nine(self):
+        records = scan_binary(builtin("KL"), 3)
+        expected, actual = io.StringIO(), io.StringIO()
+        scan_to_csv_cells(records, expected)
+        scan_to_csv(records, actual)
+        assert actual.getvalue() == expected.getvalue()
 
 
 class TestVerifyBound:

@@ -107,6 +107,16 @@ class TestCsv:
         with pytest.raises(MeasureFormatError):
             read_signed_measure(p)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        texts = {"m.csv": "id,w\na1,0.25\na2,0.75\n",
+                 "m.json": '{"atoms": [{"id": "a1", "w": 0.25}, {"id": "a2", "w": 0.75}]}'}
+        for name, text in texts.items():
+            plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+            plain.write_bytes(text.encode("utf-8"))
+            marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+            assert read_probability_measure(marked) == read_probability_measure(plain)
+            assert read_probability_measure(marked).atoms == ("a1", "a2")
+
     def test_not_utf8_rejected(self, tmp_path):
         for name in ("m.csv", "m.json"):
             p = tmp_path / name
