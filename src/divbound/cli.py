@@ -153,23 +153,22 @@ def _cmd_scan(args: argparse.Namespace, precision: int) -> int:
 def _cmd_decompose(args: argparse.Namespace, precision: int) -> int:
     nu = read_signed_measure(args.nu)
     parts = hahn_jordan(nu)
-    upper_total = parts.upper.total()
-    lower_total = parts.lower.total()
+    positive = [a for a in nu.atoms if a in parts.positive_set]
+    negative = [a for a in nu.atoms if a in parts.negative_set]
+    totals = {"upper_total": parts.upper.total(), "lower_total": parts.lower.total()}
+    totals["total_variation"] = totals["upper_total"] + totals["lower_total"]
     if args.format == "plain":
-        print("P:", " ".join(a for a in nu.atoms if a in parts.positive_set))
-        print("N:", " ".join(a for a in nu.atoms if a in parts.negative_set))
-        print("upper_total:", format_extended(upper_total, precision))
-        print("lower_total:", format_extended(lower_total, precision))
-        print("total_variation:", format_extended(upper_total + lower_total, precision))
+        print("P:", " ".join(positive))
+        print("N:", " ".join(negative))
+        for key, value in totals.items():
+            print(f"{key}:", format_extended(value, precision))
     else:
         print(json.dumps({
-            "positive_set": [a for a in nu.atoms if a in parts.positive_set],
-            "negative_set": [a for a in nu.atoms if a in parts.negative_set],
+            "positive_set": positive,
+            "negative_set": negative,
             "upper": parts.upper.to_json_dict(),
             "lower": parts.lower.to_json_dict(),
-            "upper_total": encode_extended(upper_total, precision),
-            "lower_total": encode_extended(lower_total, precision),
-            "total_variation": encode_extended(upper_total + lower_total, precision),
+            **{key: encode_extended(value, precision) for key, value in totals.items()},
         }))
     return 0
 

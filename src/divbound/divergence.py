@@ -62,7 +62,8 @@ def _divergence_rows(f: Generator, a: np.ndarray, b: np.ndarray):
     A conjugate sums its base generator's terms of the swapped pair, so
     it equals the base divergence with the arguments swapped, bit for bit.
     Takes one aligned pair as 1-D arrays, giving a float, or one aligned
-    pair per row of 2-D arrays, giving an array of row sums.
+    pair per row of 2-D arrays, giving an array of row sums.  Sums within
+    roundoff below zero, in [-1e-12, 0), are clamped to 0.
     """
     if f.base is not None:
         f, a, b = f.base, b, a
@@ -73,11 +74,15 @@ def _divergence_rows(f: Generator, a: np.ndarray, b: np.ndarray):
     if nw.size < b.size and (outside := (a > 0.0) & ~carrier).any():
         rows[outside] = a[outside] * f.slope_at_inf
     if b.ndim == 1:
-        return math.fsum(rows.tolist())
+        total = math.fsum(rows.tolist())
+        return 0.0 if -_NONNEG_CLAMP <= total < 0.0 else total
     if b.shape[1] == 2:
         # a correctly rounded two-term sum; adding 0.0 turns -0.0 into fsum's +0.0
-        return rows[:, 0] + rows[:, 1] + 0.0
-    return np.array([math.fsum(row) for row in rows.tolist()])
+        sums = rows[:, 0] + rows[:, 1] + 0.0
+    else:
+        sums = np.array([math.fsum(row) for row in rows.tolist()])
+    sums[(-_NONNEG_CLAMP <= sums) & (sums < 0.0)] = 0.0
+    return sums
 
 
 def d_f(f: Generator, mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> DivergenceValue:
@@ -88,10 +93,7 @@ def d_f(f: Generator, mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> Diverge
     """
     ids, a, b = align(mu, nu)
     _carrier(ids, a, b)
-    total = _divergence_rows(f, a, b)
-    if -_NONNEG_CLAMP <= total < 0.0:
-        total = 0.0
-    return DivergenceValue(total, f.name)
+    return DivergenceValue(_divergence_rows(f, a, b), f.name)
 
 
 def kl(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> DivergenceValue:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
+from .errors import DomainError
+
 INF = math.inf
 UP = ROUND_CEILING
 DOWN = ROUND_FLOOR
@@ -39,6 +41,8 @@ def parse_extended(text: str) -> float:
 
 
 def _nearest_format(precision: int) -> str:
+    if int(precision) < 1:
+        raise DomainError(f"precision must be at least 1, got {precision}")
     return f"%.{int(precision)}g"  # prints one float to nearest, as format_extended does
 
 
@@ -64,6 +68,6 @@ def format_extended(x: float, precision: int = 9, rounding: str | None = None) -
 def encode_extended(x: float, precision: int | None = None, rounding: str | None = None):
     """JSON form of a value: ``"inf"``, the exact float, or the float of its printed form."""
     x = float(x)
-    if precision is not None and math.isfinite(x):
+    if precision is not None:
         x = float(format_extended(x, precision, rounding))  # may round past the largest float
     return format_extended(x) if math.isinf(x) else x

@@ -58,12 +58,10 @@ class Generator:
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         """Evaluate elementwise; zeros map to ``value_at_zero``."""
         x = np.asarray(x, dtype=np.float64)
-        if np.any(np.isnan(x)) or np.any(x < 0.0):
+        if not np.all(x >= 0.0):  # also catches NaN
             raise DomainError(f"generator {self.name!r} is defined on [0, inf)")
-        out = np.empty_like(x)
-        zero = x == 0.0
-        out[zero] = self.value_at_zero
-        pos = ~zero
+        out = np.full(x.shape, self.value_at_zero, dtype=np.float64)
+        pos = x > 0.0
         if pos.any():
             xp = x[pos]
             try:

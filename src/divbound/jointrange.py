@@ -20,7 +20,7 @@ from typing import IO, Iterable, NamedTuple
 import numpy as np
 
 from .bounds import invert, lower_bound
-from .divergence import _NONNEG_CLAMP, _divergence_rows
+from .divergence import _divergence_rows
 from .errors import DomainError
 from .extreal import UP, _nearest_format, encode_extended
 from .generator import Generator
@@ -135,7 +135,6 @@ def _violations(f: Generator, mu_w: np.ndarray, nu_w: np.ndarray) -> np.ndarray:
     # lower bound minus divergence per row, as d_f, tv_distance and lower_bound
     # give it for one pair; an infinite divergence counts as violation 0
     div = _divergence_rows(f, mu_w, nu_w)
-    div[(-_NONNEG_CLAMP <= div) & (div < 0.0)] = 0.0  # d_f's roundoff clamp
     tv = _ordered_sum(np.abs(mu_w - nu_w))
     with np.errstate(invalid="ignore"):
         return np.where(np.isinf(div), 0.0, lower_bound(f, tv) - div)

@@ -53,7 +53,7 @@ class SignedMeasure:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        atoms = tuple(str(a) for a in self.atoms)
+        atoms = tuple(map(str, self.atoms))
         try:
             weights = np.array(self.weights, dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -71,11 +71,6 @@ class SignedMeasure:
     @functools.cached_property
     def _index(self) -> dict[str, int]:
         return {a: i for i, a in enumerate(self.atoms)}
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, float]]) -> "SignedMeasure":
-        pairs = list(pairs)
-        return cls(tuple(p[0] for p in pairs), np.array([p[1] for p in pairs], dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -110,7 +105,7 @@ class SignedMeasure:
 
     @classmethod
     def from_json_dict(cls, data: object) -> "SignedMeasure":
-        return cls.from_pairs(_pairs_from_json_dict(data))
+        return cls(*_json_columns(data))
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,12 +302,15 @@ def _reject_constant(token: str) -> float:
     raise MeasureFormatError(f"non-finite weight token {token!r} is not allowed")
 
 
-def _pairs_from_json_dict(data: object) -> list[tuple[str, float]]:
+_ATOM_KEYS = frozenset(("id", "w"))
+
+
+def _json_columns(data: object) -> tuple[list[str], list[float]]:
     if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
         raise MeasureFormatError('expected a JSON object {"atoms": [...]}')
-    pairs: list[tuple[str, float]] = []
+    ids, weights = [], []
     for entry in data["atoms"]:
-        if not isinstance(entry, dict) or set(entry) != {"id", "w"}:
+        if not isinstance(entry, dict) or entry.keys() != _ATOM_KEYS:
             raise MeasureFormatError('each atom must be an object {"id": ..., "w": ...}')
         atom, w = entry["id"], entry["w"]
         if not isinstance(atom, str):
@@ -325,57 +323,55 @@ def _pairs_from_json_dict(data: object) -> list[tuple[str, float]]:
             raise MeasureFormatError(f"weight of atom {atom!r} is too large for a float") from None
         if not math.isfinite(w):
             raise MeasureFormatError(f"weight of atom {atom!r} must be finite")
-        pairs.append((atom, w))
-    return pairs
+        ids.append(atom)
+        weights.append(w)
+    return ids, weights
 
 
-def _pairs_from_csv_text(text: str) -> list[tuple[str, float]]:
+def _csv_columns(text: str) -> tuple[list[str], list[float]]:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or [c.strip() for c in rows[0]] != ["id", "w"]:
         raise MeasureFormatError('CSV measures need the header row "id,w"')
-    pairs: list[tuple[str, float]] = []
+    ids, weights = [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 2:
             raise MeasureFormatError(f"line {lineno}: expected two columns, got {len(row)}")
-        atom = row[0].strip()
         try:
             w = float(row[1])
         except ValueError:
             raise MeasureFormatError(f"line {lineno}: weight {row[1]!r} is not a number") from None
         if not math.isfinite(w):
             raise MeasureFormatError(f"line {lineno}: weight must be finite")
-        pairs.append((atom, w))
-    return pairs
+        ids.append(row[0].strip())
+        weights.append(w)
+    return ids, weights
 
 
-def _pairs_from_text(text: str, suffix: str) -> list[tuple[str, float]]:
-    if suffix == ".csv":
-        return _pairs_from_csv_text(text)
+def _read_columns(path: str | Path) -> tuple[list[str], list[float]]:
+    """Atom ids and weights of a UTF-8 measure file: CSV by its suffix, JSON otherwise."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise MeasureFormatError(f"{path} is not UTF-8 text: {exc}") from None
+    if path.suffix.lower() == ".csv":
+        return _csv_columns(text)
     try:
         data = json.loads(text, parse_constant=_reject_constant)
     except MeasureFormatError:
         raise
     except (ValueError, RecursionError) as exc:  # also integers past the digit limit, deep nesting
         raise MeasureFormatError(f"invalid JSON: {exc}") from None
-    return _pairs_from_json_dict(data)
-
-
-def _read_pairs(path: str | Path) -> list[tuple[str, float]]:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise MeasureFormatError(f"{path} is not UTF-8 text: {exc}") from None
-    return _pairs_from_text(text, path.suffix.lower())
+    return _json_columns(data)
 
 
 def read_signed_measure(path: str | Path) -> SignedMeasure:
     """Load a signed measure from a UTF-8 JSON or CSV file (picked by extension)."""
-    return SignedMeasure.from_pairs(_read_pairs(path))
+    return SignedMeasure(*_read_columns(path))
 
 
 def read_probability_measure(path: str | Path) -> ProbabilityMeasure:
     """Load a probability measure from a UTF-8 JSON or CSV file (picked by extension)."""
-    return ProbabilityMeasure.from_pairs(_read_pairs(path))
+    return ProbabilityMeasure(*_read_columns(path))

@@ -264,6 +264,13 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out)["negative_set"] == []
 
+    @pytest.mark.parametrize("fmt, suffix", (("json", "json"), ("plain", "txt")))
+    def test_golden_decomposition(self, capsys, fmt, suffix):
+        code, out, _ = run(capsys, "decompose", "--nu", SIGNED, "--format", fmt,
+                           "--precision", "17")
+        assert code == 0
+        assert out == (FIXTURES / f"decompose_signed.{suffix}").read_text()
+
 
     @pytest.mark.parametrize("name, content", (
         ("huge.json", b'{"atoms": [{"id": "x", "w": 1' + b"0" * 400 + b"}]}"),

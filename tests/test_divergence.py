@@ -180,6 +180,23 @@ class TestRowSums:
         got = _divergence_rows(g, np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]))
         assert bits(got[0]) == bits(math.fsum([-0.0, -0.0]))
 
+    def test_roundoff_below_zero_is_clamped_in_every_form(self):
+        # weights that do not sum to one make KL's sum slightly negative
+        kl_ = builtin("KL")
+        for eps, expected in ((1e-13, 0.0), (1e-6, None)):
+            a, b = np.array([0.5, 0.5 - eps]), np.array([0.5, 0.5])
+            raw = math.fsum((a * np.log(a / b)).tolist())
+            assert raw < 0.0
+            want = raw if expected is None else expected
+            assert bits(_divergence_rows(kl_, a, b)) == bits(want)
+            wide_a, wide_b = np.array([[0.25, 0.25, 0.5 - eps]]), np.array([[0.25, 0.25, 0.5]])
+            rows = (_divergence_rows(kl_, a[None, :], b[None, :]),
+                    _divergence_rows(kl_, wide_a, wide_b),
+                    _divergence_rows(dual(kl_), b[None, :], a[None, :]))
+            for got in rows:
+                assert got.shape == (1,)
+                assert got[0] == want and got[0] <= 0.0
+
 
 class TestSeparationConsequence:
     @given(probability_pairs())

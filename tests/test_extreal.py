@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from divbound import DomainError
 from divbound.extreal import DOWN, UP, encode_extended, format_extended
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -66,6 +67,13 @@ class TestFormatExtended:
         for precision in range(1, 18):
             assert format_extended(x, precision) == f"{x:.{precision}g}" == "%.*g" % (precision, x)
 
+    @pytest.mark.parametrize("rounding", [None, UP, DOWN])
+    @pytest.mark.parametrize("precision", [0, -1, -17])
+    def test_precision_below_one_is_a_domain_error(self, rounding, precision):
+        for x in (0.123, 0.987, -0.5, 0.0, math.inf):
+            with pytest.raises(DomainError, match=f"precision must be at least 1, got {precision}"):
+                format_extended(x, precision, rounding)
+
 
 class TestEncodeExtended:
     def test_exact_without_precision(self):
@@ -83,3 +91,10 @@ class TestEncodeExtended:
     def test_rounding_past_the_largest_float_gives_inf(self):
         assert encode_extended(1.7976931348623157e308, 1, UP) == "inf"
         assert encode_extended(-1.7976931348623157e308, 1) == "-inf"
+
+    @pytest.mark.parametrize("rounding", [None, UP, DOWN])
+    def test_precision_below_one_is_a_domain_error(self, rounding):
+        for precision in (0, -1):
+            for x in (0.123, math.inf):
+                with pytest.raises(DomainError, match="precision must be at least 1"):
+                    encode_extended(x, precision, rounding)

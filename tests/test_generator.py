@@ -72,6 +72,29 @@ class TestBuiltins:
         with pytest.raises(DomainError):
             builtin("KL")(math.nan)
 
+    @pytest.mark.parametrize("x", ([math.nan], [0.5, math.nan], [-5e-324], [1.0, -5e-324],
+                                   math.nan, -5e-324, [[0.5], [-math.inf]]))
+    def test_eval_array_rejects_nan_and_negative_arguments(self, x):
+        for f in ALL:
+            with pytest.raises(DomainError, match=r"is defined on \[0, inf\)$"):
+                f.eval_array(np.array(x))
+
+    def test_eval_array_maps_negative_zero_to_the_limit_at_zero(self):
+        for f in ALL:
+            got = f.eval_array(np.array([-0.0, 0.0, 1.0]))
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.array([f(-0.0), f(0.0), f(1.0)]).tobytes()
+            zero = f.eval_array(np.array(-0.0))
+            assert zero.shape == () and zero.tobytes() == np.float64(f.value_at_zero).tobytes()
+        integer_limit = Generator("intlimit", lambda x: (x - 1.0) ** 2, 1)
+        assert integer_limit.eval_array(np.zeros(2)).dtype == np.float64
+
+    def test_eval_array_of_an_empty_array(self):
+        for f in ALL:
+            for shape in ((0,), (0, 3)):
+                got = f.eval_array(np.empty(shape))
+                assert got.shape == shape and got.dtype == np.float64
+
     def test_must_vanish_at_one(self):
         with pytest.raises(DomainError):
             Generator("affine", lambda x: x, 1.0)

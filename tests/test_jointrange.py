@@ -172,6 +172,13 @@ class TestScanToCsv:
         scan_to_csv(records, actual)
         assert actual.getvalue() == expected.getvalue()
 
+    @pytest.mark.parametrize("precision", [0, -1])
+    def test_precision_below_one_is_a_domain_error(self, precision):
+        out = io.StringIO()
+        with pytest.raises(DomainError, match="precision must be at least 1"):
+            scan_to_csv(scan_binary(builtin("KL"), 3), out, precision)
+        assert out.getvalue() == ""
+
 
 class TestVerifyBound:
     def test_sweep_passes_for_all_builtins(self):

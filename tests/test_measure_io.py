@@ -1,5 +1,6 @@
 """Measure file formats: JSON atoms documents and two-column CSV."""
 
+import numpy as np
 import pytest
 
 from divbound import (
@@ -123,3 +124,91 @@ class TestCsv:
             p.write_bytes(b"id,w\xff\n")
             with pytest.raises(MeasureFormatError, match="not UTF-8"):
                 read_probability_measure(p)
+
+
+_DIGITS = "1" + "0" * 4400
+
+# every malformed file above and in the CLI tests, with the exact error it gives
+MALFORMED = (
+    ("m.json", '{"atoms": [{"id": "x", "w": NaN}]}', "non-finite weight token 'NaN' is not allowed"),
+    ("m.json", '{"atoms": [{"id": "x", "w": Infinity}]}',
+     "non-finite weight token 'Infinity' is not allowed"),
+    ("m.json", '{"atoms": [{"id": "x", "w": 1e999}]}', "weight of atom 'x' must be finite"),
+    ("m.json", '{"atoms": [{"id": "x", "w": 1' + "0" * 400 + "}]}",
+     "weight of atom 'x' is too large for a float"),
+    ("m.json", '{"atoms": [{"id": "x", "w": ' + _DIGITS + "}]}",
+     "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 4401 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    ("m.json", "[" * 200_000 + "]" * 200_000,
+     "invalid JSON: maximum recursion depth exceeded while decoding a JSON array "
+     "from a unicode string"),
+    ("m.json", "{not json",
+     "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("m.json", "[]", 'expected a JSON object {"atoms": [...]}'),
+    ("m.json", '{"atoms": 3}', 'expected a JSON object {"atoms": [...]}'),
+    ("m.json", '{"atoms": [{"id": 1, "w": 2}]}', "atom id must be a string, got 1"),
+    ("m.json", '{"atoms": [{"id": "x"}]}', 'each atom must be an object {"id": ..., "w": ...}'),
+    ("m.json", '{"atoms": [{"id": "x", "w": 1, "z": 2}]}',
+     'each atom must be an object {"id": ..., "w": ...}'),
+    ("m.json", '{"atoms": [{"id": "x", "w": "y"}]}', "weight of atom 'x' must be a number"),
+    ("m.json", '{"atoms": [{"id": "x", "w": true}]}', "weight of atom 'x' must be a number"),
+    ("m.json", '{"atoms": [{"id": "x", "w": null}, {"id": 2, "w": 1}]}',
+     "weight of atom 'x' must be a number"),
+    ("m.csv", "a1,0.5\na2,0.5\n", 'CSV measures need the header row "id,w"'),
+    ("m.csv", "", 'CSV measures need the header row "id,w"'),
+    ("m.csv", "id,w\na1,abc\n", "line 2: weight 'abc' is not a number"),
+    ("m.csv", "id,w\na1,nan\n", "line 2: weight must be finite"),
+    ("m.csv", "id,w\na1,inf\n", "line 2: weight must be finite"),
+    ("m.csv", "id,w\na1,-inf\n", "line 2: weight must be finite"),
+    ("m.csv", "id,w\na1,0.5,9\n", "line 2: expected two columns, got 3"),
+    ("m.csv", "id,w\n\na1,0.5,9\n", "line 3: expected two columns, got 3"),
+    ("m.csv", "id,w\na1,x\na2\n", "line 2: weight 'x' is not a number"),
+)
+
+
+@pytest.mark.parametrize("name, text, message", MALFORMED)
+def test_malformed_file_message(tmp_path, name, text, message):
+    p = write(tmp_path, name, text)
+    with pytest.raises(MeasureFormatError) as info:
+        read_signed_measure(p)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name, content, detail", (
+    ("m.csv", b"id,w\xff\n", "byte 0xff in position 4: invalid start byte"),
+    ("m.json", b'{"atoms": [{"id": "\xe9", "w": 1}]}',
+     "byte 0xe9 in position 19: invalid continuation byte"),
+))
+def test_not_utf8_message(tmp_path, name, content, detail):
+    p = tmp_path / name
+    p.write_bytes(content)
+    with pytest.raises(MeasureFormatError) as info:
+        read_signed_measure(p)
+    assert str(info.value) == f"{p} is not UTF-8 text: 'utf-8' codec can't decode {detail}"
+
+
+def test_duplicate_id_message(tmp_path):
+    p = write(tmp_path, "m.csv", "id,w\nx,0.5\nx,0.5\n")
+    with pytest.raises(InvalidMeasure) as info:
+        read_signed_measure(p)
+    assert type(info.value) is InvalidMeasure
+    assert str(info.value) == "atom ids must be unique within a measure"
+
+
+def test_files_round_trip_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(20091)
+    n = 10_000
+    weights = (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
+    weights[:6] = [-0.0, 0.0, 5e-324, -5e-324, 1.0, -3.0]
+    ints = rng.integers(-(1 << 60), 1 << 60, 50).tolist()
+    atoms = [f"a{i}" for i in range(n)]
+    atoms[:2] = ["\u00e9t\u00e9", "x y"]
+    tokens = [repr(w) for w in weights[:-50]] + [str(k) for k in ints]
+    expected = np.array(weights[:-50] + [float(k) for k in ints])
+    rows = ", ".join(f'{{"id": "{a}", "w": {t}}}' for a, t in zip(atoms, tokens))
+    files = (write(tmp_path, "m.json", f'{{"atoms": [{rows}]}}'),
+             write(tmp_path, "m.csv", "id,w\n" + "".join(f"{a},{t}\n" for a, t in zip(atoms, tokens))))
+    for p in files:
+        m = read_signed_measure(p)
+        assert m.atoms == tuple(atoms)
+        assert m.weights.tobytes() == expected.tobytes()
