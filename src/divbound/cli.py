@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from .bounds import invert, lower_bound
 from .divergence import d_f
@@ -53,45 +54,46 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gen", required=True, type=str.lower, choices=_GENERATOR_CHOICES,
                        help="generator name")
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, run: Callable[[argparse.Namespace, int], int]) -> None:
         p.add_argument("--precision", type=int, default=None,
                        help="significant digits for printed numbers (default 9)")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("compute", help="divergence of two probability measure files")
     add_gen(p)
     p.add_argument("--mu", required=True, help="file with the first measure")
     p.add_argument("--nu", required=True, help="file with the second measure")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
-    add_common(p)
+    add_common(p, _cmd_compute)
 
     p = sub.add_parser("bound", help="divergence floor implied by a total variation value")
     add_gen(p)
     p.add_argument("--tv", required=True, type=float, help="total variation in [0, 2]")
     p.add_argument("--format", choices=("plain", "json"), default="plain")
-    add_common(p)
+    add_common(p, _cmd_bound)
 
     p = sub.add_parser("invert", help="certified TV upper bound from a divergence value")
     add_gen(p)
     p.add_argument("--d", required=True, type=_extended_value,
                    help="divergence value (nonnegative number or 'inf')")
-    add_common(p)
+    add_common(p, _cmd_invert)
 
     p = sub.add_parser("verify", help="soundness sweep of the bound over random pairs")
     add_gen(p)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--max-support", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
+    add_common(p, _cmd_verify)
 
     p = sub.add_parser("scan", help="CSV scan of the bound over binary measure pairs")
     add_gen(p)
     p.add_argument("--resolution", type=int, default=100, help="grid points per axis")
-    add_common(p)
+    add_common(p, _cmd_scan)
 
     p = sub.add_parser("decompose", help="Hahn-Jordan decomposition of a signed measure file")
     p.add_argument("--nu", required=True, help="file with the signed measure")
     p.add_argument("--format", choices=("json", "plain"), default="json")
-    add_common(p)
+    add_common(p, _cmd_decompose)
 
     return parser
 
@@ -173,16 +175,6 @@ def _cmd_decompose(args: argparse.Namespace, precision: int) -> int:
     return 0
 
 
-_DISPATCH = {
-    "compute": _cmd_compute,
-    "bound": _cmd_bound,
-    "invert": _cmd_invert,
-    "verify": _cmd_verify,
-    "scan": _cmd_scan,
-    "decompose": _cmd_decompose,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -198,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _DISPATCH[args.command](args, precision)
+        return args.run(args, precision)
     except (InvalidMeasure, UnknownGenerator, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

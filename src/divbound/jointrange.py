@@ -209,7 +209,8 @@ def verify_bound(
             i = int(np.argmax(np.where(np.isnan(violation), -math.inf, violation)))
             if violation[i] > worst or (violation[i] == worst and block[i] < worst_trial):
                 worst, worst_trial, worst_rows = float(violation[i]), block[i], (mu_w[i], nu_w[i])
-    assert worst_rows is not None
+    if worst_rows is None:
+        raise DomainError(f"generator {f.name!r}: every trial's violation was NaN or -inf")
     return VerificationReport(f.name, trials, worst, _measure_pair(*worst_rows), seed)
 
 

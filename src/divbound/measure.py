@@ -14,8 +14,9 @@ so they are safe to share between concurrent tasks.
 
 Binary operations align supports on the union of atom ids; atoms missing
 from one measure count as weight 0.  Sums over atoms accumulate in atom
-order, which lets the subset enumeration oracle reproduce them bit for
-bit.
+order, as one sequential ``np.cumsum`` for a weight vector or for every
+row of a block, which lets the subset enumeration oracle reproduce them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import functools
 import io
 import json
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -169,11 +169,13 @@ def _selected(m: SignedMeasure, within: Iterable[str] | None) -> np.ndarray:
 
 
 def _ordered_sum(values: np.ndarray):
-    # plain left-to-right accumulation in atom order along the last axis, so
-    # a matrix gives one sum per row; see module docstring
-    if values.ndim == 1:
-        return functools.reduce(operator.add, values.tolist(), 0.0)
-    return functools.reduce(operator.add, np.moveaxis(values, -1, 0), np.zeros(values.shape[:-1]))
+    # left-to-right accumulation in atom order along the last axis, one sum per
+    # row of a matrix: np.cumsum is sequential, never pairwise; the [..., -1:]
+    # slice gives 0.0 on an empty axis and "+ 0.0" turns an all-zero run's -0.0
+    # into the +0.0 of a loop from 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.cumsum(values, axis=-1)[..., -1:].sum(axis=-1) + 0.0
+    return sums if values.ndim > 1 else float(sums)
 
 
 def _check_probability_weights(weights: np.ndarray) -> None:
@@ -329,7 +331,11 @@ def _json_columns(data: object) -> tuple[list[str], list[float]]:
 
 
 def _csv_columns(text: str) -> tuple[list[str], list[float]]:
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field past csv's process-wide size limit
+        raise MeasureFormatError(f"line {reader.line_num}: {exc}") from None
     if not rows or [c.strip() for c in rows[0]] != ["id", "w"]:
         raise MeasureFormatError('CSV measures need the header row "id,w"')
     ids, weights = [], []

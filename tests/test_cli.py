@@ -287,6 +287,27 @@ class TestDecompose:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", (
+        ["decompose", "--nu"],
+        ["compute", "--gen", "kl", "--nu", HALF, "--mu"],
+    ))
+    def test_csv_field_past_size_limit_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "huge.csv"
+        path.write_text("id,w\n" + "x" * 200_000 + ",1\n")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: field larger than field limit (131072)\n"
+
+    def test_overflowing_totals(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("id,w\na,1e308\nb,1e308\nc,-1e308\nd,-1e308\n")
+        code, out, err = run(capsys, "decompose", "--nu", str(path), "--format", "plain")
+        assert code == 0
+        assert err == ""
+        totals = ["upper_total: inf", "lower_total: inf", "total_variation: inf"]
+        assert out.splitlines()[2:] == totals
+
 
 class TestUsage:
     def test_no_subcommand_exits_2(self, capsys):

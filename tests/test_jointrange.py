@@ -219,6 +219,11 @@ class TestVerifyBound:
         with pytest.raises(DomainError):
             verify_bound(builtin("KL"), 10, 1, 1)
 
+    def test_nan_on_every_trial_raises_domain_error(self):
+        f = Generator("nan", lambda x: np.where(x == 1.0, 0.0, np.nan), 0.0)
+        with pytest.raises(DomainError, match="'nan'"):
+            verify_bound(f, 10, 4, 0)
+
 
 SWEEP_GENERATORS = {name: builtin(name) for name in BUILTIN_NAMES}
 SWEEP_GENERATORS.update({"dual(HE)": dual(builtin("HE")), "dual(KL)": dual(builtin("KL"))})

@@ -1,6 +1,7 @@
 """Measures: construction, decomposition, and total variation representations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,40 @@ class TestOrderedSums:
         values[0] = -0.0
         got = _ordered_sum(values)
         assert [bits(x) for x in got.tolist()] == [bits(ordered_sum(row)) for row in values]
+
+    @staticmethod
+    def assert_rows_match(values):
+        got = _ordered_sum(values)
+        assert got.shape == values.shape[:-1]
+        expected = [bits(ordered_sum(row)) for row in values.tolist()]
+        assert [bits(x) for x in got.tolist()] == expected
+
+    def test_empty_rows(self):
+        self.assert_rows_match(np.zeros((5, 0)))
+
+    def test_transposed_block(self):
+        values = np.random.default_rng(4).standard_normal((9, 6)) * 1e3
+        assert not values.T.flags.c_contiguous
+        self.assert_rows_match(values.T)
+
+    def test_large_vector_and_block(self):
+        rng = np.random.default_rng(20091)
+        vector = rng.standard_normal(100_000) * 10.0 ** rng.integers(-12, 12, 100_000)
+        got = _ordered_sum(vector)
+        assert type(got) is float
+        assert bits(got) == bits(ordered_sum(vector.tolist()))
+        self.assert_rows_match(rng.exponential(size=(4096, 64)))
+
+    def test_negative_zero_rows(self):
+        self.assert_rows_match(np.full((3, 4), -0.0))
+
+    def test_overflow_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sm(1e308, 1e308).total() == math.inf
+            assert sm(-1e308, -1e308, 1e308).total() == -math.inf
+            rows = np.array([(1e308, 1e308, -1e308), (-1e308, -1e308, 1.0), (1.0, 2.0, 3.0)])
+            self.assert_rows_match(rows)
 
 
 class TestProbabilityRows:

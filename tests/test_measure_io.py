@@ -187,6 +187,13 @@ def test_not_utf8_message(tmp_path, name, content, detail):
     assert str(info.value) == f"{p} is not UTF-8 text: 'utf-8' codec can't decode {detail}"
 
 
+def test_csv_field_past_size_limit(tmp_path):
+    p = write(tmp_path, "m.csv", "id,w\n" + "x" * 200_000 + ",1\n")
+    with pytest.raises(MeasureFormatError) as info:
+        read_signed_measure(p)
+    assert str(info.value) == "line 2: field larger than field limit (131072)"
+
+
 def test_duplicate_id_message(tmp_path):
     p = write(tmp_path, "m.csv", "id,w\nx,0.5\nx,0.5\n")
     with pytest.raises(InvalidMeasure) as info:
