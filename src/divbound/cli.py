@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import compress
 from typing import Callable
 
 from .bounds import invert, lower_bound
@@ -26,7 +27,14 @@ from .errors import (
     NonMonotoneGenerator,
     UnknownGenerator,
 )
-from .extreal import DOWN, encode_extended, format_extended, parse_extended
+from .extreal import (
+    DOWN,
+    MAX_PRECISION,
+    _nearest_format,
+    encode_extended,
+    format_extended,
+    parse_extended,
+)
 from .generator import BUILTIN_NAMES, builtin
 from .jointrange import scan_binary, scan_to_csv, verify_bound
 from .measure import hahn_jordan, read_probability_measure, read_signed_measure
@@ -56,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, run: Callable[[argparse.Namespace, int], int]) -> None:
         p.add_argument("--precision", type=int, default=None,
-                       help="significant digits for printed numbers (default 9)")
+                       help=f"significant digits for printed numbers, 1 to {MAX_PRECISION} "
+                       "(default 9)")
         p.set_defaults(run=run)
 
     p = sub.add_parser("compute", help="divergence of two probability measure files")
@@ -109,8 +118,7 @@ def _resolve_precision(args: argparse.Namespace) -> int:
             value = int(env)
         except ValueError:
             raise DomainError(f"DIVBOUND_PRECISION must be an integer, got {env!r}") from None
-    if value < 1:
-        raise DomainError(f"precision must be at least 1, got {value}")
+    _nearest_format(value)  # DomainError outside 1..MAX_PRECISION, before any work
     return value
 
 
@@ -155,8 +163,9 @@ def _cmd_scan(args: argparse.Namespace, precision: int) -> int:
 def _cmd_decompose(args: argparse.Namespace, precision: int) -> int:
     nu = read_signed_measure(args.nu)
     parts = hahn_jordan(nu)
-    positive = [a for a in nu.atoms if a in parts.positive_set]
-    negative = [a for a in nu.atoms if a in parts.negative_set]
+    nonneg = nu.weights >= 0.0  # hahn_jordan's sign split: null atoms are positive
+    positive = list(compress(nu.atoms, nonneg.tolist()))
+    negative = list(compress(nu.atoms, (~nonneg).tolist()))
     totals = {"upper_total": parts.upper.total(), "lower_total": parts.lower.total()}
     totals["total_variation"] = totals["upper_total"] + totals["lower_total"]
     if args.format == "plain":

@@ -10,13 +10,15 @@ and output of this package.
 from __future__ import annotations
 
 import math
-from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from decimal import MAX_PREC, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 from .errors import DomainError
 
 INF = math.inf
 UP = ROUND_CEILING
 DOWN = ROUND_FLOOR
+# the largest precision that both the "%.*g" format (a C int) and decimal.Context accept
+MAX_PRECISION = min(2**31 - 1, MAX_PREC)
 
 
 def is_finite(x: float) -> bool:
@@ -43,6 +45,8 @@ def parse_extended(text: str) -> float:
 def _nearest_format(precision: int) -> str:
     if int(precision) < 1:
         raise DomainError(f"precision must be at least 1, got {precision}")
+    if int(precision) > MAX_PRECISION:
+        raise DomainError(f"precision must be at most {MAX_PRECISION}, got {precision}")
     return f"%.{int(precision)}g"  # prints one float to nearest, as format_extended does
 
 

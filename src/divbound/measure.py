@@ -17,6 +17,14 @@ from one measure count as weight 0.  Sums over atoms accumulate in atom
 order, as one sequential ``np.cumsum`` for a weight vector or for every
 row of a block, which lets the subset enumeration oracle reproduce them
 bit for bit.
+
+Measure files are read in whole-column passes: a CSV text is split at its
+commas and newlines at once, a JSON document's entries are checked with
+``map`` over the list, and the weights are checked for finiteness in one
+numpy pass.  Only when a column check fails, or the input has a shape the
+pass does not cover (quoted CSV fields, blank lines, a missing final
+newline, integer JSON weights), does a per-row loop run; those loops are the only place that
+reports errors, so each message names the first bad entry or line.
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ import functools
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -203,6 +213,12 @@ def align(
     """
     if a.atoms == b.atoms:
         return a.atoms, a.weights, b.weights
+    if len(a) == len(b):
+        where = list(map(a._index.get, b.atoms))
+        if None not in where:  # b's atoms are a permutation of a's
+            wb = np.empty(len(b))
+            wb[where] = b.weights
+            return a.atoms, a.weights, wb
     index = dict(a._index)
     where_b = [index.setdefault(x, len(index)) for x in b.atoms]
     wa = np.concatenate([a.weights, np.zeros(len(index) - len(a))])
@@ -233,8 +249,8 @@ def hahn_jordan(nu: SignedMeasure) -> HahnDecomposition:
     nonneg = w >= 0.0
     upper = SignedMeasure(nu.atoms, np.where(nonneg, w, 0.0))
     lower = SignedMeasure(nu.atoms, np.where(nonneg, 0.0, -w))
-    positive = frozenset(a for a, keep in zip(nu.atoms, nonneg) if keep)
-    negative = frozenset(a for a, keep in zip(nu.atoms, nonneg) if not keep)
+    positive = frozenset(compress(nu.atoms, nonneg.tolist()))
+    negative = frozenset(compress(nu.atoms, (~nonneg).tolist()))
     return HahnDecomposition(positive, negative, upper, lower)
 
 
@@ -305,13 +321,27 @@ def _reject_constant(token: str) -> float:
 
 
 _ATOM_KEYS = frozenset(("id", "w"))
+_ATOM_ID, _ATOM_WEIGHT = operator.itemgetter("id"), operator.itemgetter("w")
 
 
-def _json_columns(data: object) -> tuple[list[str], list[float]]:
+def _json_columns(data: object) -> tuple[list[str], list[float] | np.ndarray]:
     if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
         raise MeasureFormatError('expected a JSON object {"atoms": [...]}')
+    entries = data["atoms"]
+    # column pass: every entry a dict of exactly a str "id" and a finite float "w"
+    if set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {2}:
+        try:
+            ids, weights = list(map(_ATOM_ID, entries)), list(map(_ATOM_WEIGHT, entries))
+        except KeyError:
+            pass
+        else:
+            if set(map(type, ids)) <= {str} and set(map(type, weights)) <= {float}:
+                weights = np.array(weights, dtype=np.float64)
+                if np.isfinite(weights).all():
+                    return ids, weights
+    # the per-entry loop converts integer weights and names the first bad entry
     ids, weights = [], []
-    for entry in data["atoms"]:
+    for entry in entries:
         if not isinstance(entry, dict) or entry.keys() != _ATOM_KEYS:
             raise MeasureFormatError('each atom must be an object {"id": ..., "w": ...}')
         atom, w = entry["id"], entry["w"]
@@ -330,16 +360,36 @@ def _json_columns(data: object) -> tuple[list[str], list[float]]:
     return ids, weights
 
 
-def _csv_columns(text: str) -> tuple[list[str], list[float]]:
+# deletes every byte but the ones csv.reader treats specially in the default dialect
+_NOT_CSV_SYNTAX = bytes(sorted(set(range(256)) - set(b',\n"\r\0')))
+
+
+def _csv_columns(text: str) -> tuple[list[str], list[float] | np.ndarray]:
+    # column pass: an "id,w" header line, then newline-terminated lines of exactly
+    # one comma and no quote, CR or NUL, which csv.reader splits at their comma
+    cells = text.replace("\n", ",").split(",")  # id, w, id, w, ..., "" after the last newline
+    syntax = text.encode("utf-8", "surrogatepass").translate(None, _NOT_CSV_SYNTAX)
+    limit = csv.field_size_limit()
+    if (cells[:2] == ["id", "w"] and text.endswith("\n")
+            and syntax == b",\n" * (len(syntax) // 2)
+            and (len(text) <= limit or max(map(len, cells)) <= limit)):
+        try:
+            weights = np.array(list(map(float, cells[3:-1:2])), dtype=np.float64)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(weights).all():
+                return list(map(str.strip, cells[2:-1:2])), weights
+    # the csv.reader loop names the physical line of the first bad row
     reader = csv.reader(io.StringIO(text))
     try:
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:  # e.g. a field past csv's process-wide size limit
         raise MeasureFormatError(f"line {reader.line_num}: {exc}") from None
-    if not rows or [c.strip() for c in rows[0]] != ["id", "w"]:
+    if not rows or [c.strip() for c in rows[0][1]] != ["id", "w"]:
         raise MeasureFormatError('CSV measures need the header row "id,w"')
     ids, weights = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != 2:
@@ -355,7 +405,7 @@ def _csv_columns(text: str) -> tuple[list[str], list[float]]:
     return ids, weights
 
 
-def _read_columns(path: str | Path) -> tuple[list[str], list[float]]:
+def _read_columns(path: str | Path) -> tuple[list[str], list[float] | np.ndarray]:
     """Atom ids and weights of a UTF-8 measure file: CSV by its suffix, JSON otherwise."""
     path = Path(path)
     try:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import struct
 
@@ -9,6 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from divbound import (
+    MeasureFormatError,
     ProbabilityMeasure,
     SignedMeasure,
     VerificationReport,
@@ -131,6 +134,71 @@ def align_per_atom(a: SignedMeasure, b: SignedMeasure):
     wa = np.array([a.weight(x) for x in ids], dtype=np.float64)
     wb = np.array([b.weight(x) for x in ids], dtype=np.float64)
     return tuple(ids), wa, wb
+
+
+def align_union(a: SignedMeasure, b: SignedMeasure):
+    """Reference alignment: one dict setdefault per atom of b on a copy of a's index."""
+    if a.atoms == b.atoms:
+        return a.atoms, a.weights, b.weights
+    index = {x: i for i, x in enumerate(a.atoms)}
+    where_b = [index.setdefault(x, len(index)) for x in b.atoms]
+    wa = np.concatenate([a.weights, np.zeros(len(index) - len(a))])
+    wb = np.zeros(len(index))
+    wb[where_b] = b.weights
+    return tuple(index), wa, wb
+
+
+def json_columns_loop(data: object) -> tuple[list[str], list[float]]:
+    """Reference JSON reader: one isinstance, float and isfinite check per entry."""
+    if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
+        raise MeasureFormatError('expected a JSON object {"atoms": [...]}')
+    ids, weights = [], []
+    for entry in data["atoms"]:
+        if not isinstance(entry, dict) or entry.keys() != {"id", "w"}:
+            raise MeasureFormatError('each atom must be an object {"id": ..., "w": ...}')
+        atom, w = entry["id"], entry["w"]
+        if not isinstance(atom, str):
+            raise MeasureFormatError(f"atom id must be a string, got {atom!r}")
+        if isinstance(w, bool) or not isinstance(w, (int, float)):
+            raise MeasureFormatError(f"weight of atom {atom!r} must be a number")
+        try:
+            w = float(w)
+        except OverflowError:
+            raise MeasureFormatError(f"weight of atom {atom!r} is too large for a float") from None
+        if not math.isfinite(w):
+            raise MeasureFormatError(f"weight of atom {atom!r} must be finite")
+        ids.append(atom)
+        weights.append(w)
+    return ids, weights
+
+
+def csv_columns_loop(text: str) -> tuple[list[str], list[float]]:
+    """Reference CSV reader: csv.reader, then one float and isfinite check per row.
+
+    Errors name the physical line where the offending row ends.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise MeasureFormatError(f"line {reader.line_num}: {exc}") from None
+    if not rows or [c.strip() for c in rows[0][1]] != ["id", "w"]:
+        raise MeasureFormatError('CSV measures need the header row "id,w"')
+    ids, weights = [], []
+    for lineno, row in rows[1:]:
+        if not row:
+            continue
+        if len(row) != 2:
+            raise MeasureFormatError(f"line {lineno}: expected two columns, got {len(row)}")
+        try:
+            w = float(row[1])
+        except ValueError:
+            raise MeasureFormatError(f"line {lineno}: weight {row[1]!r} is not a number") from None
+        if not math.isfinite(w):
+            raise MeasureFormatError(f"line {lineno}: weight must be finite")
+        ids.append(row[0].strip())
+        weights.append(w)
+    return ids, weights
 
 
 finite_weights = st.floats(

@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from divbound import TvCertificate, builtin, lower_bound
-from divbound.cli import main
+from divbound import SignedMeasure, TvCertificate, builtin, hahn_jordan, lower_bound
+from divbound.cli import build_parser, main
+from divbound.extreal import DOWN, MAX_PRECISION, format_extended
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -104,6 +106,44 @@ class TestCompute:
         monkeypatch.setenv("DIVBOUND_PRECISION", "lots")
         code, _, _ = run(capsys, "compute", "--gen", "kl", "--mu", HALF, "--nu", QUARTER)
         assert code == 2
+
+    def test_csv_error_names_the_physical_line(self, capsys, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('id,w\na,0.5\n"b\nc",0.5\nd,x\n')
+        code, out, err = run(capsys, "compute", "--gen", "kl", "--mu", str(path), "--nu", HALF)
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 5: weight 'x' is not a number\n"
+
+
+class TestPrecisionLimit:
+    def test_at_the_limit_prints(self, capsys):
+        code, out, err = run(capsys, "bound", "--gen", "kl", "--tv", "0.3",
+                             "--precision", str(MAX_PRECISION))
+        assert (code, err) == (0, "")
+        value = lower_bound(builtin("kl"), 0.3)
+        assert out == format_extended(value, MAX_PRECISION, DOWN) + "\n"
+        assert float(out) == value
+
+    @pytest.mark.parametrize("argv", (
+        ["bound", "--gen", "kl", "--tv", "0.3"],
+        ["compute", "--gen", "kl", "--mu", HALF, "--nu", QUARTER],
+        ["scan", "--gen", "kl", "--resolution", "3"],
+    ))
+    def test_above_the_limit_exits_2(self, capsys, monkeypatch, argv):
+        over = MAX_PRECISION + 1
+        code, out, err = run(capsys, *argv, "--precision", str(over))
+        assert (code, out) == (2, "")
+        assert err == f"error: precision must be at most {MAX_PRECISION}, got {over}\n"
+        monkeypatch.setenv("DIVBOUND_PRECISION", "99999999999")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: precision must be at most {MAX_PRECISION}, got 99999999999\n"
+
+    def test_help_names_the_limit(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bound", "--help"])
+        assert f"1 to {MAX_PRECISION}" in " ".join(capsys.readouterr().out.split())
 
 
 class TestBound:
@@ -298,6 +338,23 @@ class TestDecompose:
         assert code == 2
         assert out == ""
         assert err == "error: line 2: field larger than field limit (131072)\n"
+
+    def test_sets_list_the_sign_split_in_atom_order(self, capsys, tmp_path):
+        rng = np.random.default_rng(20113)
+        weights = rng.standard_normal(1_000)
+        weights[rng.choice(1_000, 8, replace=False)] = [0.0, -0.0, 5e-324, -5e-324] * 2
+        ids = [f"x{i}" for i in rng.permutation(1_000)]
+        path = tmp_path / "signed.json"
+        path.write_text(json.dumps(SignedMeasure(ids, weights).to_json_dict()))
+        parts = hahn_jordan(SignedMeasure(ids, weights))
+        code, out, _ = run(capsys, "decompose", "--nu", str(path))
+        assert code == 0
+        data = json.loads(out)
+        assert data["positive_set"] == [a for a in ids if a in parts.positive_set]
+        assert data["negative_set"] == [a for a in ids if a in parts.negative_set]
+        code, out, _ = run(capsys, "decompose", "--nu", str(path), "--format", "plain")
+        assert out.splitlines()[:2] == ["P: " + " ".join(data["positive_set"]),
+                                        "N: " + " ".join(data["negative_set"])]
 
     def test_overflowing_totals(self, capsys, tmp_path):
         path = tmp_path / "big.csv"

@@ -1,13 +1,15 @@
 """Extended reals: parsing, and printing with a chosen rounding direction."""
 
+import decimal
+import io
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from divbound import DomainError
-from divbound.extreal import DOWN, UP, encode_extended, format_extended
+from divbound import DomainError, builtin, scan_binary, scan_to_csv
+from divbound.extreal import DOWN, MAX_PRECISION, UP, encode_extended, format_extended
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 precisions = st.integers(1, 17)
@@ -98,3 +100,39 @@ class TestEncodeExtended:
             for x in (0.123, math.inf):
                 with pytest.raises(DomainError, match="precision must be at least 1"):
                     encode_extended(x, precision, rounding)
+
+
+class TestPrecisionLimit:
+    def test_limit_is_the_largest_both_formats_accept(self):
+        assert MAX_PRECISION == min(2**31 - 1, decimal.MAX_PREC)
+        decimal.Context(prec=MAX_PRECISION)
+        if MAX_PRECISION == 2**31 - 1:
+            with pytest.raises(ValueError, match="precision too big"):
+                f"%.{MAX_PRECISION + 1}g" % 0.5
+
+    @pytest.mark.parametrize("rounding", [None, UP, DOWN])
+    def test_at_the_limit_prints_exact_digits(self, rounding):
+        for x in (0.1, -0.3, 5e-324, 1.7976931348623157e308):
+            text = format_extended(x, MAX_PRECISION, rounding)
+            assert text == "%.*g" % (MAX_PRECISION, x)
+            assert float(text) == x
+        assert encode_extended(0.1, MAX_PRECISION, rounding) == 0.1
+        assert encode_extended(math.inf, MAX_PRECISION, rounding) == "inf"
+
+    @pytest.mark.parametrize("rounding", [None, UP, DOWN])
+    @pytest.mark.parametrize("precision", [MAX_PRECISION + 1, 99999999999])
+    def test_above_the_limit_is_a_domain_error(self, rounding, precision):
+        message = f"precision must be at most {MAX_PRECISION}, got {precision}"
+        for x in (0.123, 0.0, math.inf):
+            with pytest.raises(DomainError) as info:
+                format_extended(x, precision, rounding)
+            assert str(info.value) == message
+            with pytest.raises(DomainError) as info:
+                encode_extended(x, precision, rounding)
+            assert str(info.value) == message
+
+    def test_scan_to_csv_above_the_limit_writes_nothing(self):
+        out = io.StringIO()
+        with pytest.raises(DomainError, match=f"at most {MAX_PRECISION}"):
+            scan_to_csv(scan_binary(builtin("KL"), 3), out, MAX_PRECISION + 1)
+        assert out.getvalue() == ""

@@ -25,6 +25,7 @@ from divbound import (
 from divbound.measure import _check_probability_weights, _ordered_sum
 from helpers import (
     align_per_atom,
+    align_union,
     atoms,
     balanced_signed_measures,
     bits,
@@ -103,6 +104,34 @@ class TestAlignment:
         diff = a - b
         assert diff.atoms == ("x", "y")
         assert list(diff.weights) == [1.0, -1.0]
+
+    @staticmethod
+    def seeded_pair(rng, a_ids, b_ids):
+        specials = [-0.0, 0.0, 5e-324, -5e-324]
+        wa, wb = rng.standard_normal(len(a_ids)), rng.standard_normal(len(b_ids))
+        wa[:4], wb[-4:] = specials, specials
+        return SignedMeasure(a_ids, wa), SignedMeasure(b_ids, wb)
+
+    @pytest.mark.parametrize("case", ("permutation", "partial overlap", "disjoint", "equal atoms",
+                                      "same length, one atom differs"))
+    def test_matches_the_union_loop(self, case):
+        rng = np.random.default_rng(20112)
+        ids = [f"a{i}" for i in range(10_000)]
+        b_ids = {
+            "permutation": [ids[i] for i in rng.permutation(len(ids))],
+            "partial overlap": [ids[i] for i in rng.permutation(len(ids))[:6_000]]
+                               + [f"b{i}" for i in range(3_000)],
+            "disjoint": [f"b{i}" for i in range(5_000)],
+            "equal atoms": list(ids),
+            "same length, one atom differs": ids[1:] + ["b0"],
+        }[case]
+        pair = self.seeded_pair(rng, tuple(ids), tuple(b_ids))
+        for a, b in (pair, pair[::-1]):
+            got, expected = align(a, b), align_union(a, b)
+            assert got[0] == expected[0]
+            assert got[1].dtype == got[2].dtype == np.float64
+            assert got[1].tobytes() == expected[1].tobytes()
+            assert got[2].tobytes() == expected[2].tobytes()
 
 
 class TestHahnJordan:

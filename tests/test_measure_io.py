@@ -1,7 +1,13 @@
 """Measure file formats: JSON atoms documents and two-column CSV."""
 
+import csv
+import json
+from collections import OrderedDict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divbound import (
     InvalidMeasure,
@@ -11,6 +17,8 @@ from divbound import (
     read_probability_measure,
     read_signed_measure,
 )
+from divbound.measure import _csv_columns, _json_columns
+from helpers import csv_columns_loop, json_columns_loop
 
 
 def write(tmp_path, name, text):
@@ -163,6 +171,8 @@ MALFORMED = (
     ("m.csv", "id,w\na1,0.5,9\n", "line 2: expected two columns, got 3"),
     ("m.csv", "id,w\n\na1,0.5,9\n", "line 3: expected two columns, got 3"),
     ("m.csv", "id,w\na1,x\na2\n", "line 2: weight 'x' is not a number"),
+    # the quoted id spans lines 3 and 4, so the bad weight is on line 5
+    ("m.csv", 'id,w\na,0.5\n"b\nc",0.5\nd,x\n', "line 5: weight 'x' is not a number"),
 )
 
 
@@ -219,3 +229,171 @@ def test_files_round_trip_bit_for_bit(tmp_path):
         m = read_signed_measure(p)
         assert m.atoms == tuple(atoms)
         assert m.weights.tobytes() == expected.tobytes()
+
+
+# The column passes of _csv_columns and _json_columns must give what the
+# per-row loops they bypass give: the same ids, weight bytes, or error.
+
+
+def outcome(read, source):
+    try:
+        ids, weights = read(source)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(ids), np.array(weights, dtype=np.float64).tobytes()
+
+
+LIMIT = csv.field_size_limit()
+
+CSV_TEXTS = {
+    "plain": "id,w\na,0.5\nb,0.25\n",
+    "no final newline": "id,w\na,0.5\nb,0.25",
+    "header only": "id,w\n",
+    "header without newline": "id,w",
+    "empty": "",
+    "integer weights": "id,w\na,1\nb,-2\nc,123456789012345678901234567890\n",
+    "bool weight": "id,w\na,True\n",
+    "overflow": "id,w\na,1e999\n",
+    "nan": "id,w\na,0.5\nb,nan\n",
+    "infinity": "id,w\na,-Infinity\n",
+    "signed zero and subnormals": "id,w\na,-0.0\nb,5e-324\nc,-5e-324\nd,0\n",
+    "float syntax": "id,w\na,1_0\nb,.5\nc,5.\nd,+1e-3\ne,\u0661\n",
+    "spaces and tabs in ids": "id,w\n a b ,0.5\n\tc\t,0.25\n\u00a0d\u2003,0.25\n",
+    "spaces around weights": "id,w\na, 0.5 \nb,\t0.5\t\n",
+    "empty id": "id,w\n,0.5\n ,0.5\n",
+    "empty weight": "id,w\na,\n",
+    "other line breaks in ids": "id,w\na\x0bb,1\nc\x0cd,1\ne\x1cf,1\ng\x85h,1\ni\u2028j,1\n",
+    "CRLF": "id,w\r\na,0.5\r\nb,0.5\r\n",
+    "lone CR": "id,w\na,0.5\rb,0.5\n",
+    "CR in id": "id,w\na\rb,0.5\n",
+    "quoted comma": 'id,w\n"a,b",0.5\nc,0.5\n',
+    "quoted newline": 'id,w\na,0.5\n"b\nc",0.5\nd,x\n',
+    "quoted id": 'id,w\n"a",0.5\n',
+    "quoted weight": 'id,w\na,"0.5"\n',
+    "stray quote": 'id,w\na"b,0.5\n',
+    "blank lines": "id,w\n\na,0.5\n\n\nb,0.5\n",
+    "trailing blank line": "id,w\na,0.5\n\n",
+    "blank line then bad row": "id,w\n\n\na,0.5,9\n",
+    "one column": "id,w\na,0.5\nb\n",
+    "three columns": "id,w\na,0.5\nb,0.5,9\n",
+    "one and three columns": "id,w\na,0.5,1\n2\n",
+    "bad weight before short row": "id,w\na1,x\na2\n",
+    "NUL in id": "id,w\na\0b,0.5\n",
+    "NUL alone": "id,w\na,0.5\n\0\n",
+    "byte order mark": "\ufeffid,w\na,0.5\n",
+    "byte order mark in id": "id,w\n\ufeffa,0.5\n",
+    "lone surrogate in id": "id,w\n\ud800,0.5\n",
+    "header with spaces": " id , w \na,0.5\n",
+    "header with three columns": "id,w,z\na,0.5\n",
+    "no header": "a,0.5\nb,0.5\n",
+    "duplicate ids": "id,w\na,0.5\na,0.5\n",
+    "field at the size limit": "id,w\n" + "x" * LIMIT + ",1\n",
+    "field past the size limit": "id,w\n" + "x" * (LIMIT + 1) + ",1\n",
+    "weight past the size limit": "id,w\na," + "1" * (LIMIT + 1) + "\n",
+    "field past the size limit after a bad row": "id,w\na,x\n" + "y" * (LIMIT + 1) + ",1\n",
+}
+
+
+@pytest.mark.parametrize("text", CSV_TEXTS.values(), ids=CSV_TEXTS.keys())
+def test_csv_column_pass_matches_loop(text):
+    assert outcome(_csv_columns, text) == outcome(csv_columns_loop, text)
+
+
+def test_csv_column_pass_keeps_a_lowered_field_limit():
+    text = "id,w\nabcdefghijk,0.5\n" + "z" * 100
+    old = csv.field_size_limit(10)
+    try:
+        expected = (MeasureFormatError, "line 2: field larger than field limit (10)")
+        assert outcome(_csv_columns, text) == outcome(csv_columns_loop, text) == expected
+        assert csv.field_size_limit() == 10
+    finally:
+        csv.field_size_limit(old)
+
+
+_CSV_ALPHABET = st.sampled_from(list("ab 1.5e-,\n\r\"\t\0") + ["nan", "1e999", "\u00a0"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CSV_ALPHABET, max_size=40).map("".join))
+def test_csv_column_pass_matches_loop_on_generated_text(body):
+    text = "id,w\n" + body
+    assert outcome(_csv_columns, text) == outcome(csv_columns_loop, text)
+
+
+def _document(entries) -> str:
+    return json.dumps({"atoms": entries})
+
+
+JSON_DATA = {
+    "floats": _document([{"id": "a", "w": 0.5}, {"id": "b", "w": -0.25}]),
+    "empty": _document([]),
+    "integer weights": _document([{"id": "a", "w": 1}, {"id": "b", "w": -2}]),
+    "integer after floats": _document([{"id": "a", "w": 0.5}, {"id": "b", "w": 3}]),
+    "integer too large": '{"atoms": [{"id": "a", "w": 0.5}, {"id": "b", "w": 1' + "0" * 400 + "}]}",
+    "bool weight": _document([{"id": "a", "w": 0.5}, {"id": "b", "w": True}]),
+    "overflow": '{"atoms": [{"id": "a", "w": 0.5}, {"id": "b", "w": 1e999}]}',
+    "signed zero and subnormals": '{"atoms": [{"id": "a", "w": -0.0}, {"id": "b", "w": 5e-324},'
+                                  ' {"id": "c", "w": -5e-324}]}',
+    "spaces and tabs in ids": _document([{"id": " a ", "w": 0.5}, {"id": "\tb\u00a0", "w": 0.5}]),
+    "null weight": _document([{"id": "a", "w": 0.5}, {"id": "b", "w": None}]),
+    "string weight": _document([{"id": "a", "w": "0.5"}]),
+    "integer id": _document([{"id": "a", "w": 0.5}, {"id": 1, "w": 0.5}]),
+    "null id": _document([{"id": None, "w": 0.5}]),
+    "missing weight": _document([{"id": "a", "w": 0.5}, {"id": "b"}]),
+    "other key": _document([{"id": "a", "x": 0.5}]),
+    "extra key": _document([{"id": "a", "w": 0.5, "z": 1}]),
+    "entry not an object": _document([{"id": "a", "w": 0.5}, ["b", 0.5]]),
+    "number entry": _document([0.5]),
+    "duplicate ids": _document([{"id": "a", "w": 0.5}, {"id": "a", "w": 0.5}]),
+    "atoms not a list": '{"atoms": {"id": "a", "w": 0.5}}',
+    "not an object": "[]",
+}
+
+
+@pytest.mark.parametrize("text", JSON_DATA.values(), ids=JSON_DATA.keys())
+def test_json_column_pass_matches_loop(text):
+    data = json.loads(text)
+    assert outcome(_json_columns, data) == outcome(json_columns_loop, data)
+
+
+@pytest.mark.parametrize("data", (
+    {"atoms": [OrderedDict(id="a", w=0.5)]},
+    {"atoms": [{"id": "a", "w": np.float64(0.5)}, {"id": "b", "w": np.float64(-0.0)}]},
+    {"atoms": [{"id": "a", "w": float("nan")}]},
+    {"atoms": [{"id": "a", "w": 0.5}, {"id": "b", "w": np.nan}]},
+    {"atoms": [{"id": np.str_("a"), "w": 0.5}]},
+), ids=("ordered dict", "numpy floats", "nan", "numpy nan", "numpy str"))
+def test_json_column_pass_matches_loop_on_python_data(data):
+    assert outcome(_json_columns, data) == outcome(json_columns_loop, data)
+
+
+_JSON_IDS = st.one_of(st.sampled_from(["a", "b", " c"]), st.integers(), st.none())
+_JSON_WEIGHTS = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(), st.just("1"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.fixed_dictionaries({"id": _JSON_IDS, "w": _JSON_WEIGHTS}),
+    st.dictionaries(st.sampled_from(["id", "w", "x"]), _JSON_WEIGHTS, max_size=3),
+), max_size=6))
+def test_json_column_pass_matches_loop_on_generated_entries(entries):
+    data = {"atoms": entries}
+    assert outcome(_json_columns, data) == outcome(json_columns_loop, data)
+
+
+def test_seeded_files_match_the_loops(tmp_path):
+    rng = np.random.default_rng(20111)
+    n = 10_000
+    weights = (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
+    weights[:4] = [-0.0, 0.0, 5e-324, -5e-324]
+    atoms = [f"a{i}" for i in rng.permutation(n)]
+    atoms[:3] = [" x y ", "\tz", "\u00e9t\u00e9\u00a0"]
+    rows = "".join(f"{a},{w!r}\n" for a, w in zip(atoms, weights))
+    texts = {"m.csv": "id,w\n" + rows,
+             "m.json": _document([{"id": a, "w": w} for a, w in zip(atoms, weights)])}
+    for name, text in texts.items():
+        loop = csv_columns_loop(text) if name == "m.csv" else json_columns_loop(json.loads(text))
+        m = read_signed_measure(write(tmp_path, name, text))
+        assert m.atoms == tuple(loop[0])
+        assert m.weights.tobytes() == np.array(loop[1]).tobytes()
+    assert outcome(_csv_columns, texts["m.csv"]) == outcome(csv_columns_loop, texts["m.csv"])
