@@ -2,16 +2,16 @@
 
 Each row times one layer or one CLI call: CLI rows run ``python -m divbound``
 as a subprocess (interpreter start included), the rest run in this process.
-A row's figures are the best and the median of ``--repeat`` runs, in
-milliseconds.  Running again with the same ``--pr`` adds its runs to the
-file, so that on a shared host both figures can be taken over runs spread
-in time, alternating with runs on another tree.  The file records the
-host's CPU count and the Python and numpy versions, and the script prints
-a diff against the newest earlier BENCH_*.json in the same directory.  It
-measures the ``src/`` tree next to it:
+A row's figures are the best and the median of its runs, in milliseconds;
+one call times every row five times.  Running again with the same ``--pr``
+adds five more runs to each row of the file, so that on a shared host both
+figures can be taken over runs spread in time, alternating with runs on
+another tree.  The file records the host's CPU count and the Python and
+numpy versions, and the script prints a diff against the newest earlier
+BENCH_*.json in the same directory.  It measures the ``src/`` tree next to
+it:
 
     python3 benchmarks/layers.py --pr 11
-    python3 benchmarks/layers.py --pr 11 --repeat 5 --skip-large   # no 1e6-atom rows
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 HERE = Path(__file__).resolve().parent
+RUNS = 5
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
@@ -37,12 +38,12 @@ import numpy as np  # noqa: E402
 import divbound as db  # noqa: E402
 
 
-def write_measure(path: Path, ids, weights) -> Path:
-    """A measure file as an ``id,w`` writer or ``to_json_dict`` would lay it out, weights as %.16e."""
+def write_measure(path: Path, ids, weights, form: str = ".16e") -> Path:
+    """A measure file as an ``id,w`` writer or ``to_json_dict`` would lay it out, weights in ``form``."""
     if path.suffix == ".csv":
-        path.write_text("id,w\n" + "".join(f"{a},{w:.16e}\n" for a, w in zip(ids, weights)))
+        path.write_text("id,w\n" + "".join(f"{a},{w:{form}}\n" for a, w in zip(ids, weights)))
     else:
-        body = ", ".join(f'{{"id": "{a}", "w": {w:.16e}}}' for a, w in zip(ids, weights))
+        body = ", ".join(f'{{"id": "{a}", "w": {w:{form}}}}' for a, w in zip(ids, weights))
         path.write_text('{"atoms": [' + body + "]}")
     return path
 
@@ -54,9 +55,9 @@ def probability_pair(n: int, seed: int):
     return ids, mu / mu.sum(), nu / nu.sum(), rng.permutation(n)
 
 
-def timed_ms(run, repeat: int) -> list[float]:
+def timed_ms(run) -> list[float]:
     times = []
-    for _ in range(repeat):
+    for _ in range(RUNS):
         start = perf_counter()
         run()
         times.append((perf_counter() - start) * 1000.0)
@@ -72,11 +73,10 @@ def cli(*argv: str):
     return run
 
 
-def rows(work: Path, large: bool):
+def rows(work: Path):
     """(name, function) for every row; files are written before the rows that read them."""
     kl = db.builtin("KL")
-    sizes = (100_000, 1_000_000) if large else (100_000,)
-    for n in sizes:
+    for n in (100_000, 1_000_000):
         ids, mu, nu, perm = probability_pair(n, 1)
         tag = f"1e{len(str(n)) - 1}"
         js = write_measure(work / f"mu_{tag}.json", ids, mu)
@@ -97,6 +97,17 @@ def rows(work: Path, large: bool):
         yield f"d_f KL, same order, n={tag}", lambda: db.d_f(kl, a, b)
         yield f"d_f KL, shuffled, index cached, n={tag}", lambda: db.d_f(kl, a, b_shuffled)
         if n == 100_000:
+            # files outside the plain layout: CRLF line ends (reading turns them into LF),
+            # integer JSON weights, and quoted CSV ids, which only the csv.reader loop reads
+            crlf = work / "mu_crlf_1e5.csv"
+            crlf.write_bytes(cs.read_bytes().replace(b"\n", b"\r\n"))
+            quoted = write_measure(work / "mu_quoted_1e5.csv", [f'"{a}"' for a in ids], mu)
+            whole = write_measure(work / "int_1e5.json", ids,
+                                  np.random.default_rng([n, 2]).integers(-10**6, 10**6, n), "d")
+            yield "read CSV file with CRLF line ends, n=1e5", lambda: db.read_probability_measure(crlf)
+            yield "read CSV file with quoted ids, n=1e5", lambda: db.read_probability_measure(quoted)
+            yield ("read JSON file with integer weights, signed, n=1e5",
+                   lambda: db.read_signed_measure(whole))
             signed = write_measure(work / "signed_1e5.json", ids, mu - nu)
             yield "CLI compute --gen kl, ordered JSON, n=1e5", cli(
                 "compute", "--gen", "kl", "--mu", str(js), "--nu", str(nu_js), "--precision", "17")
@@ -106,9 +117,7 @@ def rows(work: Path, large: bool):
                                                     "--precision", "17")
     yield "CLI invert --gen kl --d 0.1", cli("invert", "--gen", "kl", "--d", "0.1")
     yield "CLI verify --gen kl --trials 10000", cli("verify", "--gen", "kl", "--trials", "10000")
-    if large:
-        yield "CLI verify --gen kl --trials 1000000", cli("verify", "--gen", "kl",
-                                                          "--trials", "1000000")
+    yield "CLI verify --gen kl --trials 1000000", cli("verify", "--gen", "kl", "--trials", "1000000")
     yield "CLI scan --gen kl --resolution 100", cli("scan", "--gen", "kl", "--resolution", "100")
     grid = np.geomspace(0.001, 1.5, 200).tolist()
     for name, f in (("KL", kl), ("HE", db.builtin("HE")), ("dual(PE)", db.dual(db.builtin("PE"))),
@@ -145,8 +154,6 @@ def print_diff(old_path: Path, new: dict) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
-    parser.add_argument("--repeat", type=int, default=3, help="runs per row, added to those already in the file")
-    parser.add_argument("--skip-large", action="store_true", help="leave out the 1e6-atom rows")
     args = parser.parse_args(argv)
     result = {
         "pr": args.pr,
@@ -157,8 +164,8 @@ def main(argv=None) -> int:
     out = HERE / f"BENCH_{args.pr}.json"
     earlier_runs = json.loads(out.read_text())["rows"] if out.exists() else {}
     with tempfile.TemporaryDirectory() as work:
-        for name, run in rows(Path(work), not args.skip_large):
-            times = earlier_runs.get(name, {}).get("runs_ms", []) + [round(t, 2) for t in timed_ms(run, args.repeat)]
+        for name, run in rows(Path(work)):
+            times = earlier_runs.get(name, {}).get("runs_ms", []) + [round(t, 2) for t in timed_ms(run)]
             row = {"best_ms": min(times), "median_ms": statistics.median(times), "runs_ms": times}
             result["rows"][name] = row
             print(f"{name:60s} {row['best_ms']:10.1f} / {row['median_ms']:10.1f} ms "

@@ -163,9 +163,8 @@ def _cmd_scan(args: argparse.Namespace, precision: int) -> int:
 def _cmd_decompose(args: argparse.Namespace, precision: int) -> int:
     nu = read_signed_measure(args.nu)
     parts = hahn_jordan(nu)
-    nonneg = nu.weights >= 0.0  # hahn_jordan's sign split: null atoms are positive
-    positive = list(compress(nu.atoms, nonneg.tolist()))
-    negative = list(compress(nu.atoms, (~nonneg).tolist()))
+    positive = list(compress(nu.atoms, map(parts.positive_set.__contains__, nu.atoms)))
+    negative = list(compress(nu.atoms, map(parts.negative_set.__contains__, nu.atoms)))
     totals = {"upper_total": parts.upper.total(), "lower_total": parts.lower.total()}
     totals["total_variation"] = totals["upper_total"] + totals["lower_total"]
     if args.format == "plain":

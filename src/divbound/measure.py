@@ -23,7 +23,7 @@ commas and newlines at once, a JSON document's entries are checked with
 ``map`` over the list, and the weights are checked for finiteness in one
 numpy pass.  Only when a column check fails, or the input has a shape the
 pass does not cover (quoted CSV fields, blank lines, a missing final
-newline, integer JSON weights), does a per-row loop run; those loops are the only place that
+newline), does a per-row loop run; those loops are the only place that
 reports errors, so each message names the first bad entry or line.
 """
 
@@ -36,7 +36,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -328,18 +328,18 @@ def _json_columns(data: object) -> tuple[list[str], list[float] | np.ndarray]:
     if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
         raise MeasureFormatError('expected a JSON object {"atoms": [...]}')
     entries = data["atoms"]
-    # column pass: every entry a dict of exactly a str "id" and a finite float "w"
+    # column pass: every entry a dict of exactly a str "id" and a finite float or int "w";
+    # numpy converts an int as float() does and raises OverflowError where float() does
     if set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {2}:
         try:
             ids, weights = list(map(_ATOM_ID, entries)), list(map(_ATOM_WEIGHT, entries))
-        except KeyError:
-            pass
-        else:
-            if set(map(type, ids)) <= {str} and set(map(type, weights)) <= {float}:
+            if set(map(type, ids)) <= {str} and set(map(type, weights)) <= {float, int}:
                 weights = np.array(weights, dtype=np.float64)
                 if np.isfinite(weights).all():
                     return ids, weights
-    # the per-entry loop converts integer weights and names the first bad entry
+        except (KeyError, OverflowError):
+            pass
+    # the per-entry loop names the first bad entry
     ids, weights = [], []
     for entry in entries:
         if not isinstance(entry, dict) or entry.keys() != _ATOM_KEYS:
@@ -366,43 +366,53 @@ _NOT_CSV_SYNTAX = bytes(sorted(set(range(256)) - set(b',\n"\r\0')))
 
 def _csv_columns(text: str) -> tuple[list[str], list[float] | np.ndarray]:
     # column pass: an "id,w" header line, then newline-terminated lines of exactly
-    # one comma and no quote, CR or NUL, which csv.reader splits at their comma
-    cells = text.replace("\n", ",").split(",")  # id, w, id, w, ..., "" after the last newline
-    syntax = text.encode("utf-8", "surrogatepass").translate(None, _NOT_CSV_SYNTAX)
-    limit = csv.field_size_limit()
-    if (cells[:2] == ["id", "w"] and text.endswith("\n")
-            and syntax == b",\n" * (len(syntax) // 2)
-            and (len(text) <= limit or max(map(len, cells)) <= limit)):
-        try:
-            weights = np.array(list(map(float, cells[3:-1:2])), dtype=np.float64)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(weights).all():
-                return list(map(str.strip, cells[2:-1:2])), weights
+    # one comma and no quote, CR or NUL, which csv.reader splits at their comma;
+    # the checks run before the split, so that other texts go to the loop at once
+    syntax = (text.encode("utf-8", "surrogatepass").translate(None, _NOT_CSV_SYNTAX)
+              if text.startswith("id,w\n") and text.endswith("\n") else b"")
+    if syntax and syntax == b",\n" * (len(syntax) // 2):
+        cells = text.replace("\n", ",").split(",")  # id, w, id, w, ..., "" after the last newline
+        limit = csv.field_size_limit()
+        if len(text) <= limit or max(map(len, cells)) <= limit:
+            try:
+                weights = np.array(list(map(float, cells[3:-1:2])), dtype=np.float64)
+            except ValueError:
+                pass
+            else:
+                if np.isfinite(weights).all():
+                    return list(map(str.strip, cells[2:-1:2])), weights
     # the csv.reader loop names the physical line of the first bad row
     reader = csv.reader(io.StringIO(text))
     try:
-        rows = [(reader.line_num, row) for row in reader]
+        rows = list(reader)
     except csv.Error as exc:  # e.g. a field past csv's process-wide size limit
         raise MeasureFormatError(f"line {reader.line_num}: {exc}") from None
-    if not rows or [c.strip() for c in rows[0][1]] != ["id", "w"]:
+    if not rows or [c.strip() for c in rows[0]] != ["id", "w"]:
         raise MeasureFormatError('CSV measures need the header row "id,w"')
     ids, weights = [], []
-    for lineno, row in rows[1:]:
+    for record, row in enumerate(rows[1:], start=1):
         if not row:
             continue
         if len(row) != 2:
-            raise MeasureFormatError(f"line {lineno}: expected two columns, got {len(row)}")
+            raise MeasureFormatError(f"line {_line_of(text, record)}: expected two columns, "
+                                     f"got {len(row)}")
         try:
             w = float(row[1])
         except ValueError:
-            raise MeasureFormatError(f"line {lineno}: weight {row[1]!r} is not a number") from None
+            raise MeasureFormatError(f"line {_line_of(text, record)}: weight {row[1]!r} "
+                                     "is not a number") from None
         if not math.isfinite(w):
-            raise MeasureFormatError(f"line {lineno}: weight must be finite")
+            raise MeasureFormatError(f"line {_line_of(text, record)}: weight must be finite")
         ids.append(row[0].strip())
         weights.append(w)
     return ids, weights
+
+
+def _line_of(text: str, record: int) -> int:
+    """The physical line of ``text`` on which CSV record ``record`` ends; the header is record 0."""
+    reader = csv.reader(io.StringIO(text))
+    next(islice(reader, record, None))
+    return reader.line_num
 
 
 def _read_columns(path: str | Path) -> tuple[list[str], list[float] | np.ndarray]:

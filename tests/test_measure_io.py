@@ -330,6 +330,16 @@ JSON_DATA = {
     "integer weights": _document([{"id": "a", "w": 1}, {"id": "b", "w": -2}]),
     "integer after floats": _document([{"id": "a", "w": 0.5}, {"id": "b", "w": 3}]),
     "integer too large": '{"atoms": [{"id": "a", "w": 0.5}, {"id": "b", "w": 1' + "0" * 400 + "}]}",
+    "negative integer too large": _document([{"id": "a", "w": 1}, {"id": "b", "w": -10**400}]),
+    "integers past 2**53 and 2**64": _document([{"id": "a", "w": 2**53 + 1}, {"id": "b", "w": 0.5},
+                                                {"id": "c", "w": -(2**64) - 3}]),
+    "largest integer below the float limit": _document([{"id": "a", "w": 2**1024 - 2**970 - 1}]),
+    "integer rounding to the float limit": _document([{"id": "a", "w": 0.5},
+                                                      {"id": "b", "w": 2**1024 - 2**970}]),
+    "overflow before a too large integer": '{"atoms": [{"id": "a", "w": 1e999}, {"id": "b", "w": 1'
+                                           + "0" * 400 + "}]}",
+    "too large integer before an integer id": _document([{"id": "a", "w": 10**400},
+                                                         {"id": 2, "w": 0.5}]),
     "bool weight": _document([{"id": "a", "w": 0.5}, {"id": "b", "w": True}]),
     "overflow": '{"atoms": [{"id": "a", "w": 0.5}, {"id": "b", "w": 1e999}]}',
     "signed zero and subnormals": '{"atoms": [{"id": "a", "w": -0.0}, {"id": "b", "w": 5e-324},'
