@@ -120,9 +120,10 @@ def rows(work: Path):
     yield "CLI verify --gen kl --trials 1000000", cli("verify", "--gen", "kl", "--trials", "1000000")
     yield "CLI scan --gen kl --resolution 100", cli("scan", "--gen", "kl", "--resolution", "100")
     grid = np.geomspace(0.001, 1.5, 200).tolist()
-    for name, f in (("KL", kl), ("HE", db.builtin("HE")), ("dual(PE)", db.dual(db.builtin("PE"))),
-                    ("dual(KL)", db.dual(kl))):
-        db.invert(f, 0.1)  # a custom generator's monotonicity check runs once per object
+    inverted = [(name, db.builtin(name)) for name in ("KL", "HE", "TV", "PE", "SH")]
+    inverted += [(f"dual({name})", db.dual(db.builtin(name))) for name in ("PE", "KL", "HE")]
+    for name, f in inverted:
+        db.invert(f, 0.1)  # warm-up: where a dual bisects, its monotonicity check runs once per object
         yield f"invert {name}, 200 d in [0.001, 1.5] (total)", lambda f=f: [db.invert(f, d) for d in grid]
     for support in (8, 64):
         yield (f"verify_bound KL, 1e4 trials, max-support {support}",

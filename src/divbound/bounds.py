@@ -9,12 +9,14 @@ or an array of them in one elementwise pass.  phi is convex, vanishes
 at 0, and is nondecreasing on [0, 1]; it is strictly increasing when f
 has a separation coefficient.  Inverting the inequality at an observed
 divergence value therefore yields a certified upper bound on the total
-variation: the supremum of the phi sub-level set, found by bisection
-with scalar ``phi``, which rounds as the array path does, bit for bit.
-Two closed forms come as well: the Bretagnolle-Huber bound, exactly the
-inversion of phi for the reverse-KL generator, and a piecewise Hellinger
-bound that drops one phi term, so it is never tighter than the numeric
-inversion.
+variation: the supremum of the phi sub-level set.  For the built-ins and
+their duals it comes from a table of bound functions written in t, each
+with its inverse and a stated ULP error bound: the inverse, rounded up,
+is confirmed by one evaluation, so certificates lie a few ULPs above
+the supremum and never below.  Custom generators bisect with scalar
+``phi``.  Two closed forms come as well: Bretagnolle-Huber, whose tight
+value is the table's reverse-KL row, and a piecewise Hellinger bound
+that drops one phi term, so it is never tighter than ``invert``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,23 +58,12 @@ def _phi_array(f: Generator, t: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BoundFunction:
-    """phi for a fixed generator, as a callable on [0, 1]."""
-
-    generator: Generator
-
-    def __call__(self, t: float) -> float:
-        return phi(self.generator, t)
-
-
-@dataclass(frozen=True)
 class TvCertificate:
     """A certified upper bound on total variation implied by a divergence value.
 
     Soundness: every pair of probability measures whose divergence is at
     most ``divergence_value`` has total variation at most
-    ``tv_upper_bound`` (up to the bisection tolerance 1e-10 for the
-    numeric method).
+    ``tv_upper_bound``.
     """
 
     divergence_name: str
@@ -145,56 +137,118 @@ def check_monotone(f: Generator, grid_size: int) -> bool:
         return not np.any(both_inf | falls | ~(current - previous > 1e-12))
 
 
-def _kl_seed(d: float) -> float:
-    """Newton's method on (1+t)log1p(t) + (1-t)log1p(-t) = d, which has no closed form.
+# The table of built-in bound functions, written in t so that no 1 +- t is rounded.  Errors
+# are relative, for t >= 2**-451 (no underflow), in u = 2**-53: +, -, *, / and sqrt err by u,
+# and log, log1p and expm1 by one ULP, 2u, as glibc documents.
 
-    The start sqrt(d) lies right of the root (phi >= t**2) and phi is
-    convex, so the iterates fall monotonically onto it.  Below 1e-6 the
-    derivative vanishes and sqrt(d) is already within d**1.5 / 12.
-    """
-    t = math.sqrt(d)
-    if t < 1e-6:
-        return t
-    t = min(t, 1.0 - 2.0**-53)
+
+def _pe_phi(t: float) -> float:
+    """2t**2 rounded down: Dekker's product (Veltkamp's split, no fma) gives t*t's error."""
+    p, c = t * t, 134217729.0 * t  # 2**27 + 1
+    hi = c - (c - t)
+    lo = t - hi
+    exact = lo * lo - ((p - hi * hi) - 2.0 * hi * lo) >= 0.0  # t**2 >= p
+    return 2.0 * (p if exact else math.nextafter(p, 0.0))
+
+
+def _sh_phi(t: float) -> float:
+    # below 0.7, t*t's u times log1p's condition number 1.43, plus 2u; from 0.7 on, the
+    # product's 2u (1 - t is exact) times log's condition number 1.49, plus 2u: 4.97u
+    return -math.log1p(-t * t) if t < 0.7 else -math.log((1.0 - t) * (1.0 + t))
+
+
+def _he_phi(t: float) -> float:
+    # 4 - 2(sqrt(1 + t) + sqrt(1 - t)) without cancellation: s errs by 2u, 1 + s by 2u,
+    # 2 + sqrt(2 + 2s) by 1.75u, their product by 4.75u, 4t*t and the quotient by u: 6.75u
+    s = math.sqrt((1.0 - t) * (1.0 + t))
+    return 4.0 * t * t / ((1.0 + s) * (2.0 + math.sqrt(2.0 + 2.0 * s)))
+
+
+_KL_SERIES = tuple(1.0 / (k * (2 * k - 1)) for k in range(25, 0, -1))
+
+
+def _kl_phi(t: float) -> float:
+    # below 0.5, sum w**k / (k(2k - 1)) with w = t*t <= 1/4: term k takes at most 3k + 1
+    # roundings, 4.4u in all, and the terms past the 25th add under 0.01u.  From 0.5 on, the
+    # products err by 4u and 3u and are at most 2.33 and 1.33 times phi: 14.3u
+    if t >= 0.5:
+        return (1.0 + t) * math.log1p(t) + (1.0 - t) * math.log1p(-t)
+    w, p = t * t, 0.0
+    for c in _KL_SERIES:
+        p = p * w + c
+    return p * w
+
+
+def _kl_inverse(d: float) -> float:
+    # Newton's method on the convex phi: below d = 0.26 from phi's series in w = t**2 reverted
+    # to d**5 (within 1e-6), else from t**2 + t**4 / 6 = d, right of the root as phi is above
+    # that quartic.  Below 0.5 phi is t phi' + log1p(-t*t), which cancels
+    # 3-fold at most; as phi'' = 2 / (1 - t**2), a step leaves about step**2 / ((1 - t**2) phi')
+    w = (d * (1.0 - d * (1 / 6 + d * (1 / 90 + d * (5 / 1512 + d * 143 / 113400)))) if d < 0.26
+         else 2.0 * d / (1.0 + math.sqrt(1.0 + d / 1.5)))
+    t = min(math.sqrt(w), 1.0 - 2.0**-53)
     for _ in range(50):
-        step = ((1.0 + t) * math.log1p(t) + (1.0 - t) * math.log1p(-t) - d) / (
-            math.log1p(t) - math.log1p(-t))
-        t -= step
-        if abs(step) <= 2.0**-44:
+        up, down = math.log1p(t), math.log1p(-t)
+        slope = up - down
+        phi = (1.0 + t) * up + (1.0 - t) * down if t >= 0.5 else t * slope + math.log1p(-t * t)
+        step = (phi - d) / slope
+        t = min(t - step, 1.0 - 2.0**-53)  # a start left of a root next to 1 may overshoot
+        if step * step <= 2.0**-53 * t * (1.0 - t) * (1.0 + t) * slope:
             break
     return t
 
 
-# the t in [0, 1] with phi(t) = d, for d below phi(1): phi is 2t (TV), 2t**2 (PE),
-# -log(1 - t**2) (SH), and 4 - 2(sqrt(1+t) + sqrt(1-t)) (HE), solved without cancellation
-_SEEDS = {
-    "TV": lambda d: d / 2.0,
-    "PE": lambda d: math.sqrt(d / 2.0),
-    "SH": lambda d: math.sqrt(-math.expm1(-d)),
-    "HE": lambda d: (4.0 - d) * math.sqrt(d * (8.0 - d)) / 8.0,
-    "KL": _kl_seed,
-}
+@dataclass
+class _Row:
+    phi_t: Callable[[float], float]  # phi(t) = f(1 + t) + f(1 - t)
+    inverse: Callable[[float], float]  # t with phi(t) = d, 2**-900 <= d < phi1, within 2 ULPs
+    phi1: float  # phi(1), rounded down
+    ulps: int  # phi_t exceeds phi by at most ulps * 2u; 0: never
+    k: float | None  # phi(t) >= 4t**2 / k on [0, 1]; None for TV, whose phi is 2t
 
 
-def _seed_window(f: Generator, d: float) -> tuple[float, float]:
-    """Ends below and above which every bisection midpoint compares as the end does.
+_TV = _Row(lambda t: 2.0 * t, lambda d: 0.5 * d, 2.0, 0, None)
+_KL = _Row(_kl_phi, _kl_inverse, 1.3862943611198906, 8, 4.0)
+_SH = _Row(_sh_phi, lambda d: math.sqrt(-math.expm1(-d)), math.inf, 3, 4.0)
+_HE = _Row(_he_phi, lambda d: (4.0 - d) * math.sqrt(d * (8.0 - d)) / 8.0, 1.1715728752538097,
+           4, 8.0)
+# keyed on a built-in's name, with "*" for its dual; dual(PE) is Neyman's chi-square, where
+# t*t, 1 - t, 1 + t, their product and the quotient err by u each: 5u
+_ROWS = {"TV": _TV, "TV*": _TV, "HE": _HE, "HE*": _HE, "KL": _KL, "SH*": _KL, "SH": _SH,
+         "KL*": _SH, "PE": _Row(_pe_phi, lambda d: math.sqrt(0.5 * d), 2.0, 0, 2.0),
+         "PE*": _Row(lambda t: 2.0 * t * t / ((1.0 - t) * (1.0 + t)),
+                     lambda d: math.sqrt(d / (2.0 + d)), math.inf, 3, 2.0)}
 
-    The window [seed - m, seed + m] is wider than the seed's error
-    (about 1e-15 relative) and than the band where floating-point phi
-    rounds across d (about 2**-52 / t wide, where f(1 + t) loses the low
-    bits of t) by a factor of at least 2**10.  An end that passes its
-    check therefore lies outside that band, and floating-point phi stays
-    on that end's side of d at every midpoint beyond it.  An end that
-    fails its check, or leaves (0, 1), is not used.
+
+def _table_row(f: Generator) -> _Row | None:
+    if is_builtin(f):
+        return _ROWS[f.name]
+    return _ROWS[f.base.name + "*"] if f.base is not None and is_builtin(f.base) else None
+
+
+def _certify(row: _Row, d: float) -> float:
+    """The TV bound a row certifies at d >= 0: its inverse rounded up, then confirmed.
+
+    phi_t lowered by its error bound must reach d at t, which proves that
+    phi does and so that the supremum is at most 2t; a failed check moves
+    t up one ULP, at most 8 times.  Below 2**-900, where t*t could
+    underflow and void the error bounds, or should every check fail,
+    phi(t) >= 4t**2 / k gives sqrt(k d), rounded up.
     """
-    t = _SEEDS[f.name](d)
-    m = 2.0**-32 if t == 0.0 or t >= 2.0**-8 else 2.0**-40 / t
-    below, above = t - m, t + m
-    if not (below > 0.0 and phi(f, below) <= d):
-        below = -math.inf
-    if not (above < 1.0 and phi(f, above) > d):
-        above = math.inf
-    return below, above
+    if d >= row.phi1:
+        return 2.0
+    if d == 0.0:
+        return 0.0
+    if d >= 2.0**-900:
+        t = row.inverse(d) * (1.0 + row.ulps * 2.0**-52)
+        down = 1.0 - (2 * row.ulps + 1) * 2.0**-53 if row.ulps else 1.0  # phi_t * down <= phi
+        for _ in range(8):
+            if t >= 1.0:
+                return 2.0
+            if row.phi_t(t) * down >= d:
+                return 2.0 * t
+            t = math.nextafter(t, 2.0)
+    return d if row.k is None else min(math.nextafter(math.sqrt(row.k * d), 2.0), 2.0)
 
 
 def _is_monotone(f: Generator) -> bool:
@@ -209,40 +263,37 @@ def _is_monotone(f: Generator) -> bool:
 def invert(f: Generator, d: float) -> TvCertificate:
     """Certified total variation upper bound from a divergence value.
 
-    Returns the supremum of {tv in [0, 2] : phi(tv/2) <= d}, located by
-    bisection to absolute tolerance 1e-10 on the TV scale; the upper end
-    of the final bracket is reported, so the certificate never
-    undershoots the true supremum.  A divergence of at least phi(1),
-    including +inf, certifies nothing better than the trivial bound 2.
+    Returns the supremum of {tv in [0, 2] : phi(tv/2) <= d}, rounded up so
+    the certificate never undershoots it: 2 for d >= phi(1), +inf
+    included, and 0 for d = 0.  A built-in or a dual takes its row of the
+    table: the closed-form inverse (Newton's method for KL), raised by the
+    row's ULPs and confirmed by one evaluation of phi lowered by its error
+    bound, lies a few ULPs above the supremum, on it for TV, and at the
+    least float above it for PE.
 
-    For a built-in generator a seed (closed form, or Newton's method for
-    KL) brackets the answer in a narrow window; phi is evaluated at the
-    window's ends, and the midpoints beyond an end that passes its check
-    are decided without evaluating phi.  The midpoints, the comparisons
-    and so the certificate are exactly those of plain bisection.
-
-    Custom generators bisect without a seed.  They are grid-checked for
-    monotonicity first, since a non-convex function would make the
-    sub-level set meaningless; the verdict is computed once per generator
-    object, and a generator that fails raises ``NonMonotoneGenerator`` on
-    every call.
+    Custom generators bisect to bracket width 1e-10 on the TV scale and
+    report the upper end.  They are grid-checked for monotonicity first,
+    once per generator object, since a non-convex function would make the
+    sub-level set meaningless; one that fails raises
+    ``NonMonotoneGenerator`` on every call.
     """
     d = float(d)
     if math.isnan(d) or d < -1e-12:
         raise DomainError(f"divergence values are nonnegative, got {d!r}")
     d = max(d, 0.0)
-    seeded = is_builtin(f)
-    if not seeded and not _is_monotone(f):
+    row = _table_row(f)
+    if row is not None:
+        return TvCertificate(f.name, d, _certify(row, d), METHOD_NUMERIC)
+    if not _is_monotone(f):
         raise NonMonotoneGenerator(
             f"bound function of generator {f.name!r} is not nondecreasing on [0, 1]"
         )
     if phi(f, 1.0) <= d:
         return TvCertificate(f.name, d, 2.0, METHOD_NUMERIC)
-    below, above = _seed_window(f, d) if seeded else (-math.inf, math.inf)
     lo, hi = 0.0, 1.0
     while 2.0 * (hi - lo) > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if mid <= below or (mid < above and phi(f, mid) <= d):
+        if phi(f, mid) <= d:
             lo = mid
         else:
             hi = mid
@@ -252,18 +303,16 @@ def invert(f: Generator, d: float) -> TvCertificate:
 def bretagnolle_huber(sh: float) -> tuple[float, float]:
     """Bretagnolle-Huber bounds on total variation from a reverse-KL value.
 
-    Returns ``(tight, loose)`` with tight = 2*sqrt(1 - exp(-sh)) and
-    loose = 2*sqrt(sh), both capped at 2; tight <= loose always.  The
-    tight form is exactly the closed-form inversion of
-    phi(t) = -log(1 - t^2).  Both are raised by one ULP, except at 0
-    and at the cap, so float64 roundoff never leaves them below the
-    exact values.
+    Returns ``(tight, loose)``: 2*sqrt(1 - exp(-sh)), the inversion of
+    phi(t) = -log(1 - t^2), from the SH row of ``invert``, and 2*sqrt(sh)
+    raised by one ULP.  Both are capped at 2, never below the exact
+    values, and tight <= loose always.
     """
     sh = float(sh)
     if math.isnan(sh) or sh < 0.0:
         raise DomainError(f"divergence values are nonnegative, got {sh!r}")
-    tight, loose = 2.0 * math.sqrt(-math.expm1(-sh)), 2.0 * math.sqrt(sh)
-    return tuple(math.nextafter(x, 2.0) if 0.0 < x < 2.0 else min(x, 2.0) for x in (tight, loose))
+    loose = min(math.nextafter(2.0 * math.sqrt(sh), 2.0), 2.0) if sh else 0.0
+    return min(_certify(_ROWS["SH"], sh), loose), loose
 
 
 def bretagnolle_huber_certificate(sh: float) -> TvCertificate:

@@ -223,8 +223,8 @@ def tightness_gap(
     the inverted bound at ``d_target``, achieved_tv is the largest total
     variation over a ``resolution``-per-axis open grid of Bernoulli pairs
     whose divergence stays within ``d_target``, and gap is their
-    difference.  Soundness makes the gap nonnegative up to grid and
-    bisection resolution.
+    difference.  Soundness makes the gap nonnegative up to the rounding
+    of the divergences (and, for custom generators, bisection's 1e-10).
     """
     d_target = float(d_target)
     if math.isnan(d_target) or math.isinf(d_target) or d_target < 0.0:

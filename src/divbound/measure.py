@@ -18,13 +18,14 @@ order, as one sequential ``np.cumsum`` for a weight vector or for every
 row of a block, which lets the subset enumeration oracle reproduce them
 bit for bit.
 
-Measure files are read in whole-column passes: a CSV text is split at its
-commas and newlines at once, a JSON document's entries are checked with
-``map`` over the list, and the weights are checked for finiteness in one
-numpy pass.  Only when a column check fails, or the input has a shape the
-pass does not cover (quoted CSV fields, blank lines, a missing final
-newline), does a per-row loop run; those loops are the only place that
-reports errors, so each message names the first bad entry or line.
+Measure files are read in whole-column passes: a CSV text, read with its
+line ends, is split at its commas and LF or CRLF ends at once, a JSON
+document's entries are checked with ``map`` over the list, and the
+weights are checked for finiteness in one numpy pass.  Only when a
+column check fails, or the input has a shape the pass does not cover
+(quoted CSV fields, blank lines, a missing final newline), does a
+per-row loop run; those loops are the only place that reports errors,
+so each message names the first bad entry or line.
 """
 
 from __future__ import annotations
@@ -365,15 +366,16 @@ _NOT_CSV_SYNTAX = bytes(sorted(set(range(256)) - set(b',\n"\r\0')))
 
 
 def _csv_columns(text: str) -> tuple[list[str], list[float] | np.ndarray]:
-    # column pass: an "id,w" header line, then newline-terminated lines of exactly
-    # one comma and no quote, CR or NUL, which csv.reader splits at their comma;
+    # column pass: an "id,w" header line, then LF- or CRLF-terminated lines of exactly
+    # one comma and no quote, other CR or NUL, which csv.reader splits at their comma;
     # the checks run before the split, so that other texts go to the loop at once
-    syntax = (text.encode("utf-8", "surrogatepass").translate(None, _NOT_CSV_SYNTAX)
-              if text.startswith("id,w\n") and text.endswith("\n") else b"")
+    plain = text.replace("\r\n", "\n") if "\r" in text else text
+    syntax = (plain.encode("utf-8", "surrogatepass").translate(None, _NOT_CSV_SYNTAX)
+              if plain.startswith("id,w\n") and plain.endswith("\n") else b"")
     if syntax and syntax == b",\n" * (len(syntax) // 2):
-        cells = text.replace("\n", ",").split(",")  # id, w, id, w, ..., "" after the last newline
+        cells = plain.replace("\n", ",").split(",")  # id, w, id, w, ..., "" after the last newline
         limit = csv.field_size_limit()
-        if len(text) <= limit or max(map(len, cells)) <= limit:
+        if len(plain) <= limit or max(map(len, cells)) <= limit:
             try:
                 weights = np.array(list(map(float, cells[3:-1:2])), dtype=np.float64)
             except ValueError:
@@ -381,8 +383,8 @@ def _csv_columns(text: str) -> tuple[list[str], list[float] | np.ndarray]:
             else:
                 if np.isfinite(weights).all():
                     return list(map(str.strip, cells[2:-1:2])), weights
-    # the csv.reader loop names the physical line of the first bad row
-    reader = csv.reader(io.StringIO(text))
+    # the csv.reader loop names the physical line (ended by LF, CRLF or CR) of the first bad row
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(reader)
     except csv.Error as exc:  # e.g. a field past csv's process-wide size limit
@@ -410,7 +412,7 @@ def _csv_columns(text: str) -> tuple[list[str], list[float] | np.ndarray]:
 
 def _line_of(text: str, record: int) -> int:
     """The physical line of ``text`` on which CSV record ``record`` ends; the header is record 0."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     next(islice(reader, record, None))
     return reader.line_num
 
@@ -418,11 +420,12 @@ def _line_of(text: str, record: int) -> int:
 def _read_columns(path: str | Path) -> tuple[list[str], list[float] | np.ndarray]:
     """Atom ids and weights of a UTF-8 measure file: CSV by its suffix, JSON otherwise."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
+    csv_file = path.suffix.lower() == ".csv"
+    try:  # csv.reader takes a CSV text's line ends as they are: a quoted CR stays a CR
+        text = path.read_bytes().decode("utf-8-sig") if csv_file else path.read_text("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MeasureFormatError(f"{path} is not UTF-8 text: {exc}") from None
-    if path.suffix.lower() == ".csv":
+    if csv_file:
         return _csv_columns(text)
     try:
         data = json.loads(text, parse_constant=_reject_constant)

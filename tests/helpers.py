@@ -7,6 +7,7 @@ import io
 import math
 import struct
 
+import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
@@ -109,6 +110,52 @@ def invert_bisection(f, d: float) -> float:
     return 2.0 * hi
 
 
+# the bound function each built-in and each dual has: dual(HE) is HE, dual(TV) is TV, dual(KL)
+# is SH, dual(SH) is KL, and dual(PE) is Neyman's chi-square, phi = 2t**2 / (1 - t**2)
+BOUND_FUNCTION_OF = {"TV": "TV", "PE": "PE", "SH": "SH", "HE": "HE", "KL": "KL",
+                     "TV*": "TV", "PE*": "NE", "SH*": "KL", "HE*": "HE", "KL*": "SH"}
+
+
+def _kl_phi_mp(t):
+    # 2t atanh(t) + log1p(-t**2) cancels by a factor of 3 at most; the series below 1e-3
+    if t < mpmath.mpf("1e-3"):
+        w = t * t
+        return mpmath.fsum(w**k / (k * (2 * k - 1)) for k in range(1, 40))
+    return 2 * t * mpmath.atanh(t) + mpmath.log1p(-t * t)
+
+
+def tv_supremum(name: str, d: float):
+    """sup {tv in [0, 2] : phi(tv/2) <= d} at 60 digits, for a key or a value of BOUND_FUNCTION_OF."""
+    with mpmath.workdps(60):
+        d = mpmath.mpf(d)
+        name = BOUND_FUNCTION_OF.get(name, name)
+        if d == 0:
+            return mpmath.mpf(0)
+        if name == "TV":
+            return min(d, 2)
+        if name == "PE":
+            return min(mpmath.sqrt(2 * d), 2)
+        if name == "SH":
+            return 2 * mpmath.sqrt(-mpmath.expm1(-d))
+        if name == "NE":
+            return 2 * mpmath.sqrt(d / (2 + d))
+        if name == "HE":
+            return 2 if d >= 4 - 2 * mpmath.sqrt(2) else (4 - d) * mpmath.sqrt(d * (8 - d)) / 4
+        if d >= 2 * mpmath.log(2):
+            return mpmath.mpf(2)
+        if d >= 1:  # the root lies near 1, where Newton's method from there crawls
+            return 2 * mpmath.findroot(lambda t: _kl_phi_mp(t) - d, (0, 1 - mpmath.mpf(10) ** -50),
+                                       solver="anderson", tol=mpmath.mpf(10) ** -100, verify=False)
+        # Newton from the right on the convex phi stays above the root
+        t = mpmath.sqrt(d)
+        for _ in range(400):
+            step = (_kl_phi_mp(t) - d) / (2 * mpmath.atanh(t))
+            t -= step
+            if abs(step) <= t * mpmath.mpf(10) ** -57:
+                return 2 * t
+        raise ArithmeticError(f"Newton's method for the KL supremum at d={d} did not converge")
+
+
 def verify_bound_loop(f, trials: int, max_support: int, seed: int) -> VerificationReport:
     """Reference soundness sweep: one random_pair, d_f and lower_bound per trial, in trial order."""
     worst = -math.inf
@@ -175,9 +222,10 @@ def json_columns_loop(data: object) -> tuple[list[str], list[float]]:
 def csv_columns_loop(text: str) -> tuple[list[str], list[float]]:
     """Reference CSV reader: csv.reader, then one float and isfinite check per row.
 
-    Errors name the physical line where the offending row ends.
+    Errors name the physical line where the offending row ends; lines end at LF, CRLF
+    or CR, as in a file opened with newline="".
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:

@@ -1,5 +1,6 @@
 """The bound function phi, its inversion, and the closed-form corollaries."""
 
+import functools
 import json
 import math
 
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from divbound import bounds
 from divbound import (
     BUILTIN_NAMES,
-    BoundFunction,
     DomainError,
     Generator,
     NonMonotoneGenerator,
@@ -32,12 +32,14 @@ from divbound import (
     tv_distance,
 )
 from helpers import (
+    BOUND_FUNCTION_OF,
     bits,
     check_monotone_loop,
     invert_bisection,
     ordered_sum,
     pm,
     probability_pairs,
+    tv_supremum,
 )
 
 # high-precision evaluations of the closed forms
@@ -73,15 +75,9 @@ class TestPhi:
             with pytest.raises(DomainError):
                 phi(builtin("KL"), t)
 
-    def test_bound_function_wrapper(self):
-        bf = BoundFunction(builtin("PE"))
-        assert bf(0.5) == phi(builtin("PE"), 0.5)
-        assert bf(0.0) == 0.0
-
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_nondecreasing_on_sample_grid(self, name):
-        bf = BoundFunction(builtin(name))
-        values = [bf(t) for t in np.linspace(0.0, 1.0, 101)]
+        values = [phi(builtin(name), t) for t in np.linspace(0.0, 1.0, 101)]
         for u, v in zip(values, values[1:]):
             assert v >= u - 1e-12 or (math.isinf(u) and math.isinf(v))
 
@@ -237,11 +233,19 @@ class TestInvert:
         assert cert.divergence_name == "SH"
 
     def test_zero_divergence_pins_zero_tv(self):
-        for name in ("KL", "SH", "HE", "PE"):
-            assert abs(invert(builtin(name), 0.0).tv_upper_bound) <= 1e-10
+        for name in TABLE_NAMES:
+            assert bits(invert(_table_generator(name), 0.0).tv_upper_bound) == bits(0.0), name
 
     def test_pearson_closed_form(self):
-        assert invert(builtin("PE"), 0.5).tv_upper_bound == pytest.approx(1.0, abs=1e-10)
+        assert invert(builtin("PE"), 0.5).tv_upper_bound == 1.0
+
+    def test_tv_certifies_the_divergence_itself(self):
+        rng = np.random.default_rng(5)
+        ds = CERTIFY_GRID + rng.uniform(0.0, 2.0, 2000).tolist() + [2.0, 5e-324, 3 * 5e-324, 2.0**-1022]
+        ds += (10.0 ** rng.uniform(-320.0, 0.0, 2000)).tolist()
+        for f in (builtin("TV"), dual(builtin("TV"))):
+            for d in ds:
+                assert invert(f, d).tv_upper_bound == min(d, 2.0), d
 
     def test_infinite_divergence_gives_trivial_bound(self):
         for name in BUILTIN_NAMES:
@@ -308,29 +312,37 @@ class TestInvert:
 
 # the d grid of the benchmark's certify workload: 0, 0.005, ..., 3.0
 CERTIFY_GRID = [3.0 * k / 600 for k in range(601)]
+# every generator with a row in the table of bound functions: the built-ins and their duals
+TABLE_NAMES = BUILTIN_NAMES + tuple(f"{name}*" for name in BUILTIN_NAMES)
 
 
-def _seeded_inputs(f, seed):
-    """The d values the seeded inversion is checked on, for one built-in."""
-    top = min(phi(f, 1.0), 40.0)
-    rng = np.random.default_rng(seed)
-    ds = CERTIFY_GRID + [10.0 ** e for e in range(-320, 1)]
-    ds += rng.uniform(0.0, top, 10_000).tolist()
-    ds += (10.0 ** rng.uniform(-320.0, math.log10(top), 10_000)).tolist()
-    if math.isfinite(phi(f, 1.0)):
-        ds.append(math.nextafter(phi(f, 1.0), 0.0))
-    return ds
+def _table_generator(name):
+    return dual(builtin(name[:-1])) if name.endswith("*") else builtin(name)
 
 
-def _crossing(f, d):
-    """The least float t found by bisecting to adjacent floats with phi(t) > d."""
-    lo, hi = 0.0, 1.0
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if phi(f, mid) <= d:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+def _custom_generators():
+    """Convex generators with no row in the table: one array-capable, one scalar-only."""
+    return (Generator("chi2", lambda x: (x - 1.0) ** 2, 1.0, 0.0),
+            Generator("js", lambda x: x * math.log(2.0 * x / (1.0 + x)) + math.log(2.0 / (1.0 + x)),
+                      math.log(2.0), 0.0))
+
+
+def _enclosure_inputs(f):
+    """CERTIFY_GRID, 2,000 log-uniform d in [1e-300, phi(1)) (phi(1) capped at 40) and d just below phi(1)."""
+    row = bounds._table_row(f)
+    rng = np.random.default_rng(BUILTIN_NAMES.index(f.name.rstrip("*")))
+    ds = CERTIFY_GRID + (10.0 ** rng.uniform(-300.0, math.log10(min(row.phi1, 40.0)), 2000)).tolist()
+    if math.isfinite(row.phi1):
+        below = [row.phi1]
+        for _ in range(20):
+            below.append(math.nextafter(below[-1], 0.0))
+        return ds + below[1:] + [row.phi1 - 10.0 ** -k for k in range(1, 17)]
+    return ds + [1e3, 1e10, 1e300, 1.7976931348623157e308]
+
+
+@functools.lru_cache(maxsize=None)
+def _supremum(name, d):
+    return tv_supremum(name, d)
 
 
 @pytest.fixture
@@ -347,76 +359,106 @@ def monotone_checks(monkeypatch):
 
 
 class TestSeededInversion:
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_bit_identical_to_plain_bisection(self, name):
-        f = builtin(name)
-        for d in _seeded_inputs(f, BUILTIN_NAMES.index(name)):
-            assert bits(invert(f, d).tv_upper_bound) == bits(invert_bisection(f, d)), d
+    """Certificates from the table's inverses for the built-ins and duals; bisection otherwise."""
+
+    @pytest.mark.parametrize("name", TABLE_NAMES)
+    def test_certificate_encloses_the_supremum(self, name):
+        # The inverse errs by at most 2 ULPs and is raised by the row's n ULPs, so a first
+        # check that passes keeps a point at most n + 2.5 ULPs above the supremum.  phi_t
+        # errs by at most n ULPs and the check lowers it by n + 0.5 more, so every check
+        # passes once phi exceeds d by 2n + 0.5 ULPs; phi grows at least like t**2 (TV's
+        # and PE's checks are exact), so that happens within n + 0.25 ULPs of the
+        # supremum, and the nudge past it adds one.  Below 2**-900, sqrt(k d) rounded up
+        # is within 1.5 ULPs.  So n + 3 ULPs bound every certificate.
+        f = _table_generator(name)
+        row = bounds._table_row(f)
+        margin = (row.ulps + 3) * 2.0**-52
+        below, above = [], []
+        for d in _enclosure_inputs(f):
+            cert = invert(f, d).tv_upper_bound
+            sup = _supremum(BOUND_FUNCTION_OF[name], d)
+            if cert < sup:
+                below.append(d)
+            if cert > sup * (1 + margin):
+                above.append(d)
+        assert below == [] and above == [], (below[:5], above[:5])
+
+    def test_tiny_and_subnormal_divergences_stay_sound(self):
+        ds = [5e-324, 3 * 5e-324, 2.0**-1022, 1e-310, 2.0**-900, math.nextafter(2.0**-900, 0.0)]
+        for name in TABLE_NAMES:
+            f = _table_generator(name)
+            for d in ds:
+                assert invert(f, d).tv_upper_bound >= tv_supremum(name, d), (name, d)
+
+    def test_inverse_lies_within_two_ulps(self):
+        for name in ("TV", "PE", "SH", "HE", "KL", "PE*"):
+            f = _table_generator(name)
+            row = bounds._table_row(f)
+            for d in CERTIFY_GRID[1::3] + [10.0 ** e for e in range(-270, 1, 3)]:
+                if d < row.phi1:
+                    exact = tv_supremum(name, d) / 2
+                    assert abs(row.inverse(d) - exact) <= 2 * 2.0**-52 * exact, (name, d)
+
+    @pytest.mark.parametrize("shift", (-1e-4, -3e-9, 3e-9, 1e-4))
+    def test_a_wrong_inverse_costs_tightness_not_soundness(self, monkeypatch, shift):
+        # a check that fails moves the certificate up; after the last nudge the quadratic
+        # bound sqrt(k d) takes over, so no certificate falls below the supremum
+        for name in ("TV", "PE", "SH", "HE", "KL", "PE*"):
+            f = _table_generator(name)
+            row = bounds._table_row(f)
+            monkeypatch.setattr(row, "inverse", lambda d, inverse=row.inverse: inverse(d) + shift)
+            for d in CERTIFY_GRID[1::5]:
+                assert invert(f, d).tv_upper_bound >= _supremum(BOUND_FUNCTION_OF[name], d), (name, d)
+
+    def test_table_rows_make_no_phi_calls(self, monkeypatch):
+        phi_calls, phi_t_calls = [], []
+
+        def counted(f, t):
+            phi_calls.append(t)
+            return phi(f, t)
+
+        monkeypatch.setattr(bounds, "phi", counted)
+        for name in TABLE_NAMES:
+            f = _table_generator(name)
+            row = bounds._table_row(f)
+            monkeypatch.setattr(row, "phi_t", lambda t, phi_t=row.phi_t: phi_t_calls.append(t) or phi_t(t))
+            for d in CERTIFY_GRID:
+                phi_t_calls.clear()
+                invert(f, d)
+                assert len(phi_t_calls) <= 2, (name, d, len(phi_t_calls))
+        assert phi_calls == []
 
     def test_custom_generators_bit_identical_to_plain_bisection(self):
-        for f in (dual(builtin("HE")), dual(builtin("PE")), dual(builtin("KL"))):
+        for f in _custom_generators():
             for d in CERTIFY_GRID[::10]:
-                assert bits(invert(f, d).tv_upper_bound) == bits(invert_bisection(f, d)), d
+                assert bits(invert(f, d).tv_upper_bound) == bits(invert_bisection(f, d)), (f.name, d)
 
     def test_tightness_gap_certifies_the_plain_bisection_bound(self):
-        for name in BUILTIN_NAMES:
-            f = builtin(name)
+        for f in _custom_generators():
             for budget in (0.0, 0.01, 0.3, 1.0, 2.5):
                 certified, achieved, gap = tightness_gap(f, budget, 60)
                 assert bits(certified) == bits(invert_bisection(f, budget))
                 assert gap == certified - achieved
 
-    def test_seed_lies_deep_inside_its_window(self):
-        # the window is sound because it is far wider than the seed's error
-        # plus the band where floating-point phi crosses d
-        for name in BUILTIN_NAMES:
-            f = builtin(name)
-            ds = [d for d in CERTIFY_GRID[::3] + [10.0 ** e for e in range(-320, 1, 4)]
-                  if phi(f, 1.0) > d]
-            for d in ds:
-                t = bounds._SEEDS[name](d)
-                m = 2.0**-32 if t == 0.0 or t >= 2.0**-8 else 2.0**-40 / t
-                assert abs(t - _crossing(f, d)) <= m / 1024, (name, d)
-
-    @pytest.mark.parametrize("shift", (-1e-4, -3e-9, 3e-9, 1e-4))
-    def test_a_wrong_seed_costs_evaluations_not_bits(self, monkeypatch, shift):
-        # an end on the wrong side of the crossing fails its check and goes unused
-        for name in BUILTIN_NAMES:
-            seed = bounds._SEEDS[name]
-            monkeypatch.setitem(bounds._SEEDS, name,
-                                lambda d, seed=seed: min(max(seed(d) + shift, 0.0), 1.0))
-            f = builtin(name)
-            for d in CERTIFY_GRID[::5]:
-                assert bits(invert(f, d).tv_upper_bound) == bits(invert_bisection(f, d)), (name, d)
-
-    def test_at_most_ten_phi_calls_per_bisecting_builtin(self, monkeypatch):
-        calls = []
-
-        def counted(f, t):
-            calls.append(t)
-            return phi(f, t)
-
-        monkeypatch.setattr(bounds, "phi", counted)
-        for name in BUILTIN_NAMES:
-            f = builtin(name)
-            for d in CERTIFY_GRID:
-                if phi(f, 1.0) > d:
-                    calls.clear()
-                    invert(f, d)
-                    assert len(calls) <= 10, (name, d, len(calls))
+    def test_tightness_gap_certifies_the_table_bound(self):
+        for name in TABLE_NAMES:
+            f = _table_generator(name)
+            for budget in (0.0, 0.01, 0.3, 1.0, 2.5):
+                certified, achieved, gap = tightness_gap(f, budget, 60)
+                assert bits(certified) == bits(invert(f, budget).tv_upper_bound)
+                assert gap == certified - achieved
 
     def test_monotonicity_verdict_computed_once_per_generator(self, monotone_checks):
-        g = dual(builtin("HE"))
+        g, h = _custom_generators()
         for d in (0.0, 0.1, 0.5, 1.0, math.inf):
             invert(g, d)
         assert monotone_checks == [g]
-        h = dual(builtin("HE"))
         invert(h, 0.1)
         invert(h, 0.2)
         assert monotone_checks == [g, h]
-        for name in BUILTIN_NAMES:
-            invert(builtin(name), 0.1)
-        assert len(monotone_checks) == 2
+        for name in TABLE_NAMES:
+            invert(_table_generator(name), 0.1)
+        assert monotone_checks == [g, h]
 
     def test_non_monotone_generator_raises_on_every_call(self, monotone_checks):
         concave = Generator("cap", lambda x: -((x - 1.0) ** 2), -1.0, None)
@@ -426,7 +468,7 @@ class TestSeededInversion:
         assert monotone_checks == [concave]
 
     def test_verdict_is_dropped_with_its_generator(self):
-        g = dual(builtin("PE"))
+        g = _custom_generators()[0]
         invert(g, 0.1)
         key = id(g)
         assert key in bounds._MONOTONE

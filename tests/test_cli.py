@@ -190,8 +190,8 @@ class TestInvert:
     def test_pearson_closed_form(self, capsys):
         code, out, _ = run(capsys, "invert", "--gen", "pe", "--d", "0.5")
         assert code == 0
-        # the bisection bound 1 + 2**-34, printed rounded up at 9 digits
-        assert json.loads(out)["tv_upper_bound"] == 1.00000001
+        # the exact supremum 1, which no rounding moves
+        assert out == '{"divergence": "PE", "value": 0.5, "tv_upper_bound": 1.0, "method": "numeric-inversion"}\n'
 
     def test_infinite_divergence(self, capsys):
         code, out, _ = run(capsys, "invert", "--gen", "kl", "--d", "inf")
@@ -379,5 +379,4 @@ class TestUsage:
             capture_output=True, text=True,
         )
         assert result.returncode == 0
-        # the bisection bound 1 + 2**-34, printed rounded up at 9 digits
-        assert json.loads(result.stdout)["tv_upper_bound"] == 1.00000001
+        assert json.loads(result.stdout)["tv_upper_bound"] == 1.0

@@ -264,6 +264,10 @@ CSV_TEXTS = {
     "empty weight": "id,w\na,\n",
     "other line breaks in ids": "id,w\na\x0bb,1\nc\x0cd,1\ne\x1cf,1\ng\x85h,1\ni\u2028j,1\n",
     "CRLF": "id,w\r\na,0.5\r\nb,0.5\r\n",
+    "LF and CRLF": "id,w\na,0.5\r\nb,0.5\n",
+    "CRLF with a quoted CR": 'id,w\r\n"a\rb",0.5\r\nc,0.5\r\n',
+    "CRLF then a bad weight": "id,w\r\na,0.5\r\nb,x\r\n",
+    "CR CRLF": "id,w\r\na,0.5\r\r\nb,0.5\r\n",
     "lone CR": "id,w\na,0.5\rb,0.5\n",
     "CR in id": "id,w\na\rb,0.5\n",
     "quoted comma": 'id,w\n"a,b",0.5\nc,0.5\n',
@@ -297,6 +301,24 @@ CSV_TEXTS = {
 @pytest.mark.parametrize("text", CSV_TEXTS.values(), ids=CSV_TEXTS.keys())
 def test_csv_column_pass_matches_loop(text):
     assert outcome(_csv_columns, text) == outcome(csv_columns_loop, text)
+
+
+def test_crlf_text_takes_the_column_pass():
+    # the column pass returns its weights as one array, the loop as a list
+    ids, weights = _csv_columns("id,w\r\na,0.5\r\nb,0.5\r\n")
+    assert ids == ["a", "b"] and isinstance(weights, np.ndarray)
+
+
+@pytest.mark.parametrize("text, atoms", (
+    ('id,w\n"a\rb",0.5\nc,0.5\n', ("a\rb", "c")),  # a quoted CR stays in its id
+    ('id,w\r\n"a\r\nb",0.5\r\nc,0.5\r\n', ("a\r\nb", "c")),
+    ("id,w\ra,0.5\rb,0.5\r", ("a", "b")),  # CR line ends, as written by classic Mac OS
+    ("id,w\r\na,0.5\r\nb,0.5\r\n", ("a", "b")),
+))
+def test_csv_file_keeps_its_line_ends(tmp_path, text, atoms):
+    p = tmp_path / "m.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert read_probability_measure(p).atoms == atoms
 
 
 def test_csv_column_pass_keeps_a_lowered_field_limit():
