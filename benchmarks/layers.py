@@ -1,7 +1,8 @@
 """Layer-by-layer timings of divbound, written to benchmarks/BENCH_<pr>.json.
 
-Each row times one layer or one CLI call: CLI rows run ``python -m divbound``
-as a subprocess (interpreter start included), the rest run in this process.
+Each row times one layer or one CLI call: CLI and start-up rows run
+``python -m divbound`` or ``python -c`` as a subprocess (interpreter start
+included), the rest run in this process.
 A row's figures are the best and the median of its runs, in milliseconds;
 one call times every row five times.  Running again with the same ``--pr``
 adds five more runs to each row of the file, so that on a shared host both
@@ -64,17 +65,22 @@ def timed_ms(run) -> list[float]:
     return times
 
 
-def cli(*argv: str):
+def python(*argv: str):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
     def run():
-        subprocess.run([sys.executable, "-m", "divbound", *argv], env=env, check=True,
-                       stdout=subprocess.DEVNULL)
+        subprocess.run([sys.executable, *argv], env=env, check=True, stdout=subprocess.DEVNULL)
     return run
+
+
+def cli(*argv: str):
+    return python("-m", "divbound", *argv)
 
 
 def rows(work: Path):
     """(name, function) for every row; files are written before the rows that read them."""
+    for name in db.__all__:  # resolve the lazy namespace first, so that no row times an import
+        getattr(db, name)
     kl = db.builtin("KL")
     for n in (100_000, 1_000_000):
         ids, mu, nu, perm = probability_pair(n, 1)
@@ -115,7 +121,12 @@ def rows(work: Path):
                 "compute", "--gen", "kl", "--mu", str(cs), "--nu", str(nu_cs), "--precision", "17")
             yield "CLI decompose, JSON, n=1e5", cli("decompose", "--nu", str(signed),
                                                     "--precision", "17")
+    # start-up: a bare interpreter, the package import, and the CLI's lightest paths
+    yield "python -c pass", python("-c", "pass")
+    yield 'python -c "import divbound"', python("-c", "import divbound")
+    yield "python -m divbound --help", cli("--help")
     yield "CLI invert --gen kl --d 0.1", cli("invert", "--gen", "kl", "--d", "0.1")
+    yield "CLI bound --gen kl --tv 0.5", cli("bound", "--gen", "kl", "--tv", "0.5")
     yield "CLI verify --gen kl --trials 10000", cli("verify", "--gen", "kl", "--trials", "10000")
     yield "CLI verify --gen kl --trials 1000000", cli("verify", "--gen", "kl", "--trials", "1000000")
     yield "CLI scan --gen kl --resolution 100", cli("scan", "--gen", "kl", "--resolution", "100")

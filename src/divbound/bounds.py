@@ -13,10 +13,12 @@ variation: the supremum of the phi sub-level set.  For the built-ins and
 their duals it comes from a table of bound functions written in t, each
 with its inverse and a stated ULP error bound: the inverse, rounded up,
 is confirmed by one evaluation, so certificates lie a few ULPs above
-the supremum and never below.  Custom generators bisect with scalar
-``phi``.  Two closed forms come as well: Bretagnolle-Huber, whose tight
-value is the table's reverse-KL row, and a piecewise Hellinger bound
-that drops one phi term, so it is never tighter than ``invert``.
+the supremum and never below; the table is plain ``math``, and only the
+array functions (``lower_bound``, ``check_monotone``) import numpy.
+Custom generators bisect with scalar ``phi``.  Two closed forms come as
+well: Bretagnolle-Huber, whose tight value is the table's reverse-KL
+row, and a piecewise Hellinger bound that drops one phi term, so it is
+never tighter than ``invert``.
 """
 
 from __future__ import annotations
@@ -24,14 +26,14 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, NonMonotoneGenerator
 from .extreal import UP, encode_extended, parse_extended
 from .generator import Generator, is_builtin
-from .measure import PROBABILITY_SUM_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 METHOD_NUMERIC = "numeric-inversion"
 METHOD_BRETAGNOLLE_HUBER = "bretagnolle-huber"
@@ -110,6 +112,10 @@ def lower_bound(f: Generator, tv: float | np.ndarray) -> float | np.ndarray:
     measures that each sum to 1 within their 1e-9 tolerance, count as 2.
     A float gives a float; an array gives one floor per entry, equal to the float's bit for bit.
     """
+    import numpy as np
+
+    from .measure import PROBABILITY_SUM_TOL
+
     tv = np.asarray(tv, dtype=np.float64)
     if (bad := ~((tv >= 0.0) & (tv <= 2.0 + 2.0 * PROBABILITY_SUM_TOL))).any():
         raise DomainError(f"total variation lies in [0, 2], got {float(tv[bad][0])!r}")
@@ -124,6 +130,8 @@ def check_monotone(f: Generator, grid_size: int) -> bool:
     consecutive grid values must increase by more than 1e-12; two
     consecutive infinite values pass only the plain check.
     """
+    import numpy as np
+
     grid_size = int(grid_size)
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
@@ -280,7 +288,7 @@ def invert(f: Generator, d: float) -> TvCertificate:
     d = float(d)
     if math.isnan(d) or d < -1e-12:
         raise DomainError(f"divergence values are nonnegative, got {d!r}")
-    d = max(d, 0.0)
+    d = max(0.0, d)  # max keeps the first of equal values: -0.0 gives +0.0
     row = _table_row(f)
     if row is not None:
         return TvCertificate(f.name, d, _certify(row, d), METHOD_NUMERIC)
@@ -318,7 +326,7 @@ def bretagnolle_huber(sh: float) -> tuple[float, float]:
 def bretagnolle_huber_certificate(sh: float) -> TvCertificate:
     """The tight Bretagnolle-Huber bound packaged as a certificate."""
     tight, _ = bretagnolle_huber(sh)
-    return TvCertificate("SH", float(sh), tight, METHOD_BRETAGNOLLE_HUBER)
+    return TvCertificate("SH", float(sh) + 0.0, tight, METHOD_BRETAGNOLLE_HUBER)  # -0.0 -> +0.0
 
 
 def hellinger_bound(he: float) -> float:
@@ -337,4 +345,5 @@ def hellinger_bound(he: float) -> float:
 
 def hellinger_certificate(he: float) -> TvCertificate:
     """The closed-form Hellinger bound packaged as a certificate."""
-    return TvCertificate("HE", float(he), hellinger_bound(he), METHOD_HELLINGER)
+    he = float(he) + 0.0  # -0.0 -> +0.0
+    return TvCertificate("HE", he, hellinger_bound(he), METHOD_HELLINGER)

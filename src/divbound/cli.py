@@ -7,6 +7,11 @@ Floating-point output uses 9 significant digits unless overridden with
 --precision or the DIVBOUND_PRECISION environment variable; upper bounds
 print rounded up, divergence floors rounded down, everything else to
 nearest.  "inf" is the textual form of +infinity everywhere.
+
+Each subcommand imports the modules it runs when it runs, as the
+``divbound`` namespace resolves its names on first use: ``invert``,
+``--help`` and usage errors never import numpy; ``compute``, ``bound``,
+``verify``, ``scan`` and ``decompose`` compute on arrays and do.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from itertools import compress
 from typing import Callable
 
 from .bounds import invert, lower_bound
-from .divergence import d_f
 from .errors import (
     AbsoluteContinuityViolation,
     DomainError,
@@ -36,8 +40,6 @@ from .extreal import (
     parse_extended,
 )
 from .generator import BUILTIN_NAMES, builtin
-from .jointrange import scan_binary, scan_to_csv, verify_bound
-from .measure import hahn_jordan, read_probability_measure, read_signed_measure
 
 _GENERATOR_CHOICES = tuple(name.lower() for name in BUILTIN_NAMES)
 _DEFAULT_PRECISION = 9
@@ -132,6 +134,9 @@ def _print_value(args: argparse.Namespace, fields: dict, key: str, value: float,
 
 
 def _cmd_compute(args: argparse.Namespace, precision: int) -> int:
+    from .divergence import d_f
+    from .measure import read_probability_measure
+
     gen = builtin(args.gen)
     value = d_f(gen, read_probability_measure(args.mu), read_probability_measure(args.nu)).value
     return _print_value(args, {"divergence": gen.name}, "value", value, precision)
@@ -150,17 +155,23 @@ def _cmd_invert(args: argparse.Namespace, precision: int) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, precision: int) -> int:
+    from .jointrange import verify_bound
+
     report = verify_bound(builtin(args.gen), args.trials, args.max_support, args.seed)
     print(json.dumps(report.to_json_dict(precision)))
     return 0
 
 
 def _cmd_scan(args: argparse.Namespace, precision: int) -> int:
+    from .jointrange import scan_binary, scan_to_csv
+
     scan_to_csv(scan_binary(builtin(args.gen), args.resolution), sys.stdout, precision)
     return 0
 
 
 def _cmd_decompose(args: argparse.Namespace, precision: int) -> int:
+    from .measure import hahn_jordan, read_signed_measure
+
     nu = read_signed_measure(args.nu)
     parts = hahn_jordan(nu)
     positive = list(compress(nu.atoms, map(parts.positive_set.__contains__, nu.atoms)))

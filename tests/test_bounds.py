@@ -263,6 +263,13 @@ class TestInvert:
     def test_slightly_negative_clamps(self):
         assert invert(builtin("KL"), -1e-13).divergence_value == 0.0
 
+    def test_negative_zero_becomes_positive_zero(self):
+        chi = Generator("chi2", lambda x: (x - 1.0) ** 2, 1.0, 0.0)
+        certificates = [invert(f, -0.0) for f in (*map(_table_generator, TABLE_NAMES), chi)]
+        certificates += [bretagnolle_huber_certificate(-0.0), hellinger_certificate(-0.0)]
+        for cert in certificates:
+            assert bits(cert.divergence_value) == bits(0.0), cert
+
     def test_monotone_in_divergence(self):
         ds = np.linspace(0.0, 3.0, 31)
         for name in BUILTIN_NAMES:

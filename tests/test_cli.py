@@ -204,6 +204,12 @@ class TestInvert:
         code, _, _ = run(capsys, "invert", "--gen", "kl", "--d", "oops")
         assert code == 2
 
+    @pytest.mark.parametrize("d", ("-0", "-0.0", "-1e-13"))
+    def test_negative_zero_prints_zero(self, capsys, d):
+        code, out, _ = run(capsys, "invert", "--gen", "kl", f"--d={d}")
+        assert code == 0
+        assert out == '{"divergence": "KL", "value": 0.0, "tv_upper_bound": 0.0, "method": "numeric-inversion"}\n'
+
     def test_negative_value_exits_3(self, capsys):
         code, _, _ = run(capsys, "invert", "--gen", "kl", "--d", "-0.5")
         assert code == 3

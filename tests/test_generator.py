@@ -95,9 +95,33 @@ class TestBuiltins:
                 got = f.eval_array(np.empty(shape))
                 assert got.shape == shape and got.dtype == np.float64
 
+    @pytest.mark.parametrize("f", ALL + [dual(f) for f in ALL], ids=lambda f: f.name)
+    def test_builtins_and_duals_are_positive_zero_at_one(self, f):
+        # the built-ins skip the construction probe at 1 on the strength of this
+        for value in (f(1.0), f.eval_array([1.0])[0]):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_must_vanish_at_one(self):
         with pytest.raises(DomainError):
             Generator("affine", lambda x: x, 1.0)
+        with pytest.raises(DomainError, match="must vanish at 1"):
+            Generator("shifted", lambda x: x * np.log(x) + 1e-300, 0.0)
+
+    def test_custom_generators_are_probed_at_one(self):
+        class Probed:  # defines __eq__, so it is unhashable
+            def __init__(self):
+                self.probes = []
+
+            def __eq__(self, other):
+                return self is other
+
+            def __call__(self, x):
+                self.probes.append(x)
+                return (x - 1.0) ** 2
+
+        fn = Probed()
+        Generator("pe", fn, 1.0)
+        assert fn.probes == [1.0]
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_midpoint_convexity_on_grid(self, name):
