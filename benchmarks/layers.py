@@ -115,6 +115,8 @@ def rows(work: Path):
             yield ("read JSON file with integer weights, signed, n=1e5",
                    lambda: db.read_signed_measure(whole))
             signed = write_measure(work / "signed_1e5.json", ids, mu - nu)
+            difference = db.SignedMeasure(ids, mu - nu)
+            yield "hahn_jordan, n=1e5", lambda: db.hahn_jordan(difference)
             yield "CLI compute --gen kl, ordered JSON, n=1e5", cli(
                 "compute", "--gen", "kl", "--mu", str(js), "--nu", str(nu_js), "--precision", "17")
             yield "CLI compute --gen kl, shuffled CSV, n=1e5", cli(
@@ -136,6 +138,16 @@ def rows(work: Path):
     for name, f in inverted:
         db.invert(f, 0.1)  # warm-up: where a dual bisects, its monotonicity check runs once per object
         yield f"invert {name}, 200 d in [0.001, 1.5] (total)", lambda f=f: [db.invert(f, d) for d in grid]
+    # a custom generator bisects; a new object runs its monotonicity check on its first call
+    def chi2():
+        return db.Generator("chi2", lambda x: (x - 1.0) ** 2, 1.0, 0.0)
+
+    yield ("invert custom chi2, first call, 200 d on 200 new objects (total)",
+           lambda: [db.invert(chi2(), d) for d in grid])
+    cached = chi2()
+    db.invert(cached, 0.1)
+    yield ("invert custom chi2, check cached, 200 d in [0.001, 1.5] (total)",
+           lambda: [db.invert(cached, d) for d in grid])
     for support in (8, 64):
         yield (f"verify_bound KL, 1e4 trials, max-support {support}",
                lambda s=support: db.verify_bound(kl, 10_000, s, 0))

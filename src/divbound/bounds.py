@@ -24,7 +24,6 @@ never tighter than ``invert``.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -43,8 +42,6 @@ _METHODS = (METHOD_NUMERIC, METHOD_BRETAGNOLLE_HUBER, METHOD_HELLINGER)
 # bracket width on the TV scale at which bisection stops
 _BISECTION_TOL = 1e-10
 _MONOTONE_GRID = 1001
-# id(generator) -> check_monotone verdict; an entry goes when its generator does
-_MONOTONE: dict[int, bool] = {}
 
 
 def phi(f: Generator, t: float) -> float:
@@ -259,15 +256,6 @@ def _certify(row: _Row, d: float) -> float:
     return d if row.k is None else min(math.nextafter(math.sqrt(row.k * d), 2.0), 2.0)
 
 
-def _is_monotone(f: Generator) -> bool:
-    """check_monotone on the invert grid, run once per generator object."""
-    verdict = _MONOTONE.get(id(f))
-    if verdict is None:
-        verdict = _MONOTONE[id(f)] = check_monotone(f, _MONOTONE_GRID)
-        weakref.finalize(f, _MONOTONE.pop, id(f), None)
-    return verdict
-
-
 def invert(f: Generator, d: float) -> TvCertificate:
     """Certified total variation upper bound from a divergence value.
 
@@ -292,7 +280,7 @@ def invert(f: Generator, d: float) -> TvCertificate:
     row = _table_row(f)
     if row is not None:
         return TvCertificate(f.name, d, _certify(row, d), METHOD_NUMERIC)
-    if not _is_monotone(f):
+    if not f._phi_monotone:
         raise NonMonotoneGenerator(
             f"bound function of generator {f.name!r} is not nondecreasing on [0, 1]"
         )

@@ -67,22 +67,22 @@ def _divergence_rows(f: Generator, a: np.ndarray, b: np.ndarray):
     """
     if f.base is not None:
         f, a, b = f.base, b, a
+    vector = b.ndim == 1
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
     carrier = b > 0.0
     nw = b[carrier]
     rows = np.zeros(b.shape)
     rows[carrier] = nw * f.eval_array(a[carrier] / nw)
     if nw.size < b.size and (outside := (a > 0.0) & ~carrier).any():
         rows[outside] = a[outside] * f.slope_at_inf
-    if b.ndim == 1:
-        total = math.fsum(rows.tolist())
-        return 0.0 if -_NONNEG_CLAMP <= total < 0.0 else total
-    if b.shape[1] == 2:
-        # a correctly rounded two-term sum; adding 0.0 turns -0.0 into fsum's +0.0
+    if b.shape[1] == 2 and not vector:
+        # a correctly rounded two-term sum equals fsum's except where fsum raises (inf - inf,
+        # overflow), so only blocks take it; adding 0.0 turns -0.0 into fsum's +0.0
         sums = rows[:, 0] + rows[:, 1] + 0.0
     else:
         sums = np.array([math.fsum(row) for row in rows.tolist()])
     sums[(-_NONNEG_CLAMP <= sums) & (sums < 0.0)] = 0.0
-    return sums
+    return float(sums[0]) if vector else sums
 
 
 def d_f(f: Generator, mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> DivergenceValue:

@@ -16,6 +16,7 @@ that evaluate, not by the module, so looking up a built-in loads none.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -79,6 +80,13 @@ class Generator:
                 values = np.array([float(self.fn(float(v))) for v in xp])
             out[pos] = values
         return out
+
+    @functools.cached_property
+    def _phi_monotone(self) -> bool:
+        """``bounds.check_monotone`` on the invert grid, run once per generator object."""
+        from . import bounds
+
+        return bounds.check_monotone(self, bounds._MONOTONE_GRID)
 
 
 def _hellinger(x):

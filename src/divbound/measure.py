@@ -37,7 +37,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -112,7 +112,7 @@ class SignedMeasure:
         return SignedMeasure(ids, a - b)
 
     def to_json_dict(self) -> dict:
-        return {"atoms": [{"id": a, "w": float(w)} for a, w in self.items()]}
+        return {"atoms": [{"id": a, "w": w} for a, w in self.items()]}
 
     @classmethod
     def from_json_dict(cls, data: object) -> "SignedMeasure":
@@ -158,16 +158,19 @@ class HahnDecomposition:
     lower: SignedMeasure
 
     def __post_init__(self) -> None:
-        support = set(self.upper.atoms)
-        if self.positive_set | self.negative_set != support or self.positive_set & self.negative_set:
+        # P and N partition the n atoms iff |P| + |N| = n and N holds every atom outside P
+        atoms, positive, negative = self.upper.atoms, self.positive_set, self.negative_set
+        inside = np.fromiter(map(positive.__contains__, atoms), dtype=bool, count=len(atoms))
+        if (len(positive) + len(negative) != len(atoms)
+                or not all(map(negative.__contains__, compress(atoms, (~inside).tolist())))):
             raise InvalidMeasure("positive and negative sets must partition the support")
         if self.upper.atoms != self.lower.atoms:
             raise InvalidMeasure("upper and lower parts must share the support")
         if np.any(self.upper.weights < 0.0) or np.any(self.lower.weights < 0.0):
             raise InvalidMeasure("upper and lower parts must be nonnegative")
-        if np.any(_selected(self.upper, self.negative_set)):
+        if np.any(self.upper.weights[~inside]):
             raise InvalidMeasure("upper part must vanish outside the positive set")
-        if np.any(_selected(self.lower, self.positive_set)):
+        if np.any(self.lower.weights[inside]):
             raise InvalidMeasure("lower part must vanish outside the negative set")
 
 
@@ -383,38 +386,34 @@ def _csv_columns(text: str) -> tuple[list[str], list[float] | np.ndarray]:
             else:
                 if np.isfinite(weights).all():
                     return list(map(str.strip, cells[2:-1:2])), weights
-    # the csv.reader loop names the physical line (ended by LF, CRLF or CR) of the first bad row
+    # the csv.reader loop names the physical line (ended by LF, CRLF or CR) of the first bad
+    # row, or the header; it reads on past that row, so that an error of csv's own comes first
     reader = csv.reader(io.StringIO(text, newline=""))
+    ids, weights, error = [], [], None
     try:
-        rows = list(reader)
+        if [c.strip() for c in next(reader, ())] != ["id", "w"]:
+            error = 'CSV measures need the header row "id,w"'
+        for row in reader:
+            if error is not None or not row:
+                continue
+            if len(row) != 2:
+                error = f"line {reader.line_num}: expected two columns, got {len(row)}"
+                continue
+            try:
+                w = float(row[1])
+            except ValueError:
+                error = f"line {reader.line_num}: weight {row[1]!r} is not a number"
+                continue
+            if math.isfinite(w):
+                ids.append(row[0].strip())
+                weights.append(w)
+            else:
+                error = f"line {reader.line_num}: weight must be finite"
     except csv.Error as exc:  # e.g. a field past csv's process-wide size limit
         raise MeasureFormatError(f"line {reader.line_num}: {exc}") from None
-    if not rows or [c.strip() for c in rows[0]] != ["id", "w"]:
-        raise MeasureFormatError('CSV measures need the header row "id,w"')
-    ids, weights = [], []
-    for record, row in enumerate(rows[1:], start=1):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise MeasureFormatError(f"line {_line_of(text, record)}: expected two columns, "
-                                     f"got {len(row)}")
-        try:
-            w = float(row[1])
-        except ValueError:
-            raise MeasureFormatError(f"line {_line_of(text, record)}: weight {row[1]!r} "
-                                     "is not a number") from None
-        if not math.isfinite(w):
-            raise MeasureFormatError(f"line {_line_of(text, record)}: weight must be finite")
-        ids.append(row[0].strip())
-        weights.append(w)
+    if error is not None:
+        raise MeasureFormatError(error)
     return ids, weights
-
-
-def _line_of(text: str, record: int) -> int:
-    """The physical line of ``text`` on which CSV record ``record`` ends; the header is record 0."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(islice(reader, record, None))
-    return reader.line_num
 
 
 def _read_columns(path: str | Path) -> tuple[list[str], list[float] | np.ndarray]:

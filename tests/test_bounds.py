@@ -1,8 +1,10 @@
 """The bound function phi, its inversion, and the closed-form corollaries."""
 
 import functools
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -474,13 +476,17 @@ class TestSeededInversion:
                 invert(concave, 0.1)
         assert monotone_checks == [concave]
 
-    def test_verdict_is_dropped_with_its_generator(self):
+    def test_verdict_is_dropped_with_its_generator(self, monotone_checks):
+        # the verdict lives on the generator object, so nothing else keeps the generator alive
         g = _custom_generators()[0]
         invert(g, 0.1)
-        key = id(g)
-        assert key in bounds._MONOTONE
+        invert(g, 0.2)
+        assert monotone_checks == [g]
+        monotone_checks.clear()
+        collected = weakref.ref(g)
         del g
-        assert key not in bounds._MONOTONE
+        gc.collect()
+        assert collected() is None
 
 
 class TestBretagnolleHuber:

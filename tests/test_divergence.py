@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from divbound import (
     AbsoluteContinuityViolation,
     BUILTIN_NAMES,
+    DivergenceValue,
     Generator,
     ProbabilityMeasure,
     builtin,
@@ -55,6 +56,11 @@ class TestDensityRatio:
 class TestEvaluation:
     def test_kl_example(self):
         assert kl(MU, NU).value == pytest.approx(KL_EXAMPLE, abs=1e-12)
+
+    def test_is_finite(self):
+        assert kl(MU, NU).is_finite and DivergenceValue(0.0, "KL").is_finite
+        assert not sh(pm(1.0, 0.0), pm(0.5, 0.5)).is_finite  # nu-mass where mu has none
+        assert not DivergenceValue(math.inf, "PE").is_finite
 
     def test_zero_on_the_diagonal(self):
         m = pm(0.2, 0.3, 0.5)
@@ -174,6 +180,18 @@ class TestRowSums:
                 got = _divergence_rows(f, a, b)
                 expected = [_divergence_rows(f, x, y) for x, y in zip(a, b)]
                 assert [bits(v) for v in got.tolist()] == [bits(v) for v in expected]
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_one_pair_sums_with_fsum_at_every_width(self, n):
+        # terms of +inf and -inf, which only a generator that is not convex gives: fsum raises
+        # where the sweeps' two-term row sum gives NaN
+        def step(x):
+            return np.where(x == 1.0, 0.0, np.where(x > 1.0, np.inf, -np.inf))
+
+        g = Generator("nonconvex", step, 0.0)
+        mu, nu = pm(*[0.25] * (n - 1), 1.0 - 0.25 * (n - 1)), pm(*[1.0 / n] * n)
+        with pytest.raises(ValueError, match="inf"):
+            d_f(g, mu, nu)
 
     def test_negative_zero_terms_sum_to_positive_zero(self):
         g = Generator("negzero", lambda x: -0.0 * (x - 1.0) ** 2, -0.0, None)

@@ -9,7 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from divbound import DomainError, builtin, scan_binary, scan_to_csv
-from divbound.extreal import DOWN, MAX_PRECISION, UP, encode_extended, format_extended
+from divbound.extreal import (
+    DOWN,
+    MAX_PRECISION,
+    UP,
+    encode_extended,
+    format_extended,
+    is_finite,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 precisions = st.integers(1, 17)
@@ -136,3 +143,8 @@ class TestPrecisionLimit:
         with pytest.raises(DomainError, match=f"at most {MAX_PRECISION}"):
             scan_to_csv(scan_binary(builtin("KL"), 3), out, MAX_PRECISION + 1)
         assert out.getvalue() == ""
+
+
+def test_is_finite():
+    assert is_finite(0.0) and is_finite(-1e308) and is_finite(5e-324)
+    assert not any(map(is_finite, (math.inf, -math.inf, math.nan)))

@@ -151,6 +151,11 @@ class TestBuiltins:
         xs = np.array([0.5, 1.0, 2.0])
         assert np.allclose(g.eval_array(xs), [g(x) for x in xs])
 
+    def test_eval_array_falls_back_when_an_array_gives_the_wrong_shape(self):
+        # np.sum returns one number for an array, so each positive entry is evaluated alone
+        g = Generator("summed", lambda x: np.sum((np.asarray(x) - 1.0) ** 2), 1.0, 0.0)
+        assert g.eval_array(np.array([0.0, 0.5, 1.0, 3.0])).tolist() == [1.0, 0.25, 0.0, 4.0]
+
 
 class TestDual:
     def test_tv_is_self_dual(self):

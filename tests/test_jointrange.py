@@ -219,6 +219,11 @@ class TestVerifyBound:
         with pytest.raises(DomainError):
             verify_bound(builtin("KL"), 10, 1, 1)
 
+    @pytest.mark.parametrize("seed", (-1, 2**64))
+    def test_seed_outside_64_bits_is_a_domain_error(self, seed):
+        with pytest.raises(DomainError, match=r"^seed must be an unsigned integer below 2\*\*64$"):
+            verify_bound(builtin("KL"), 10, 4, seed)
+
     def test_nan_on_every_trial_raises_domain_error(self):
         f = Generator("nan", lambda x: np.where(x == 1.0, 0.0, np.nan), 0.0)
         with pytest.raises(DomainError, match="'nan'"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from divbound import (
     AbsoluteContinuityViolation,
     DomainError,
+    HahnDecomposition,
     InvalidMeasure,
     ProbabilityMeasure,
     SignedMeasure,
@@ -80,6 +81,15 @@ class TestConstruction:
     def test_normalized_rejects_zero_mass(self):
         with pytest.raises(InvalidMeasure):
             ProbabilityMeasure.normalized([("a1", 0.0), ("a2", 0.0)])
+
+    @pytest.mark.parametrize("w", (-0.5, math.inf, math.nan))
+    def test_normalized_rejects_negative_and_non_finite_weights(self, w):
+        with pytest.raises(InvalidMeasure, match="^normalize needs finite nonnegative weights$"):
+            ProbabilityMeasure.normalized([("a1", 1.0), ("a2", w)])
+
+    def test_non_numeric_weights_rejected(self):
+        with pytest.raises(InvalidMeasure, match="^weights must be real numbers: "):
+            SignedMeasure(("a1", "a2"), [0.5, "x"])
 
     def test_weight_of_missing_atom_is_zero(self):
         assert sm(1.0).weight("zz") == 0.0
@@ -194,6 +204,44 @@ class TestHahnJordan:
         hi, lo = subset_extrema(m)
         assert parts.upper.total() == hi
         assert parts.lower.total() == -lo
+
+
+PARTITION = "positive and negative sets must partition the support"
+SHARED = "upper and lower parts must share the support"
+NONNEGATIVE = "upper and lower parts must be nonnegative"
+UPPER_VANISHES = "upper part must vanish outside the positive set"
+LOWER_VANISHES = "lower part must vanish outside the negative set"
+
+
+class TestHahnDecompositionChecks:
+    """Each invalid decomposition names the first check it fails, in a fixed order."""
+
+    @staticmethod
+    def parts(positive, negative, upper, lower, lower_atoms=("a1", "a2")):
+        return (frozenset(positive), frozenset(negative), SignedMeasure(("a1", "a2"), upper),
+                SignedMeasure(lower_atoms, lower))
+
+    @pytest.mark.parametrize("fields, message", [
+        ((["a1"], [], [0.5, 0.0], [0.0, 0.5]), PARTITION),  # an atom in neither set
+        ((["a1", "a2"], ["a2"], [0.5, 0.0], [0.0, 0.5]), PARTITION),  # an atom in both
+        ((["a1", "zz"], [], [0.5, 0.0], [0.0, 0.5]), PARTITION),  # sizes add up, a stranger in P
+        ((["a1"], ["a2", "zz"], [0.5, 0.0], [0.0, 0.5]), PARTITION),  # a stranger in N
+        ((["a1"], [], [-0.5, 0.5], [0.0, 0.5], ("a2", "a1")), PARTITION),  # before all others
+        ((["a1"], ["a2"], [0.5, 0.0], [0.0, 0.5], ("a2", "a1")), SHARED),
+        ((["a1"], ["a2"], [0.5, -0.5], [0.0, 0.5], ("a1", "a3")), SHARED),  # before the signs
+        ((["a1"], ["a2"], [0.5, 0.0], [0.0, -0.5]), NONNEGATIVE),
+        ((["a1"], ["a2"], [0.5, -0.5], [0.5, 0.5]), NONNEGATIVE),  # before the supports
+        ((["a1"], ["a2"], [0.5, 0.5], [0.0, 0.5]), UPPER_VANISHES),
+        ((["a1"], ["a2"], [0.5, 0.5], [0.5, 0.5]), UPPER_VANISHES),  # before the lower part
+        ((["a1"], ["a2"], [0.5, 0.0], [0.5, 0.5]), LOWER_VANISHES),
+    ])
+    def test_first_failed_check_names_itself(self, fields, message):
+        with pytest.raises(InvalidMeasure, match=f"^{message}$"):
+            HahnDecomposition(*self.parts(*fields))
+
+    def test_a_valid_decomposition_passes_every_check(self):
+        parts = HahnDecomposition(*self.parts(["a1"], ["a2"], [0.5, 0.0], [0.0, 0.5]))
+        assert parts == hahn_jordan(sm(0.5, -0.5))
 
 
 class TestTotalVariationNorm:

@@ -282,6 +282,8 @@ CSV_TEXTS = {
     "three columns": "id,w\na,0.5\nb,0.5,9\n",
     "one and three columns": "id,w\na,0.5,1\n2\n",
     "bad weight before short row": "id,w\na1,x\na2\n",
+    "two bad rows": "id,w\na,0.5\nb,x\nc,0.5,9\nd,inf\n",
+    "bad header then bad row": "id,v\na,x\nb\n",
     "NUL in id": "id,w\na\0b,0.5\n",
     "NUL alone": "id,w\na,0.5\n\0\n",
     "byte order mark": "\ufeffid,w\na,0.5\n",
