@@ -138,6 +138,16 @@ def rows(work: Path):
     for name, f in inverted:
         db.invert(f, 0.1)  # warm-up: where a dual bisects, its monotonicity check runs once per object
         yield f"invert {name}, 200 d in [0.001, 1.5] (total)", lambda f=f: [db.invert(f, d) for d in grid]
+    # the certify workload's library pass: five built-ins on 601 d, dual(HE) and dual(PE) on 61
+    certify_grid = [3.0 * k / 600 for k in range(601)]
+    certify_calls = [(db.builtin(name), d) for name in ("HE", "TV", "KL", "PE", "SH")
+                     for d in certify_grid]
+    certify_calls += [(db.dual(db.builtin(name)), d) for name in ("HE", "PE")
+                      for d in certify_grid[::10]]
+    yield (f"invert, certify grid ({len(certify_calls):,} calls), total",
+           lambda: [db.invert(f, d) for f, d in certify_calls])
+    yield ("TvCertificate(...), 1,000 constructions",
+           lambda: [db.TvCertificate("KL", 0.1, 0.5, "numeric-inversion") for _ in range(1000)])
     # a custom generator bisects; a new object runs its monotonicity check on its first call
     def chi2():
         return db.Generator("chi2", lambda x: (x - 1.0) ** 2, 1.0, 0.0)

@@ -24,7 +24,7 @@ never tighter than ``invert``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, NonMonotoneGenerator
@@ -56,7 +56,7 @@ def _phi_array(f: Generator, t: np.ndarray) -> np.ndarray:
     return f.eval_array(1.0 + t) + f.eval_array(1.0 - t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TvCertificate:
     """A certified upper bound on total variation implied by a divergence value.
 
@@ -70,13 +70,18 @@ class TvCertificate:
     tv_upper_bound: float
     method: str
 
-    def __post_init__(self) -> None:
-        if not self.divergence_value >= 0.0:
-            raise DomainError(f"divergence values are nonnegative, got {self.divergence_value!r}")
-        if not 0.0 <= self.tv_upper_bound <= 2.0:
-            raise DomainError(f"tv_upper_bound must lie in [0, 2], got {self.tv_upper_bound!r}")
-        if self.method not in _METHODS:
-            raise DomainError(f"unknown certificate method {self.method!r}")
+    def __init__(self, divergence_name: str, divergence_value: float, tv_upper_bound: float,
+                 method: str) -> None:
+        # in place of the generated __init__, which sets each field through object.__setattr__
+        # and then calls __post_init__; dataclasses.replace and from_json_dict come here too
+        if not divergence_value >= 0.0:
+            raise DomainError(f"divergence values are nonnegative, got {divergence_value!r}")
+        if not 0.0 <= tv_upper_bound <= 2.0:
+            raise DomainError(f"tv_upper_bound must lie in [0, 2], got {tv_upper_bound!r}")
+        if method not in _METHODS:
+            raise DomainError(f"unknown certificate method {method!r}")
+        self.__dict__.update(divergence_name=divergence_name, divergence_value=divergence_value,
+                             tv_upper_bound=tv_upper_bound, method=method)
 
     def to_json_dict(self, precision: int | None = None) -> dict:
         """JSON fields; with a precision the bound prints rounded up."""
@@ -210,6 +215,12 @@ class _Row:
     phi1: float  # phi(1), rounded down
     ulps: int  # phi_t exceeds phi by at most ulps * 2u; 0: never
     k: float | None  # phi(t) >= 4t**2 / k on [0, 1]; None for TV, whose phi is 2t
+    up: float = field(init=False)  # raises the inverse by ulps * 2u
+    down: float = field(init=False)  # phi_t * down <= phi
+
+    def __post_init__(self) -> None:
+        self.up = 1.0 + self.ulps * 2.0**-52
+        self.down = 1.0 - (2 * self.ulps + 1) * 2.0**-53 if self.ulps else 1.0
 
 
 _TV = _Row(lambda t: 2.0 * t, lambda d: 0.5 * d, 2.0, 0, None)
@@ -245,12 +256,11 @@ def _certify(row: _Row, d: float) -> float:
     if d == 0.0:
         return 0.0
     if d >= 2.0**-900:
-        t = row.inverse(d) * (1.0 + row.ulps * 2.0**-52)
-        down = 1.0 - (2 * row.ulps + 1) * 2.0**-53 if row.ulps else 1.0  # phi_t * down <= phi
+        t = row.inverse(d) * row.up
         for _ in range(8):
             if t >= 1.0:
                 return 2.0
-            if row.phi_t(t) * down >= d:
+            if row.phi_t(t) * row.down >= d:
                 return 2.0 * t
             t = math.nextafter(t, 2.0)
     return d if row.k is None else min(math.nextafter(math.sqrt(row.k * d), 2.0), 2.0)
@@ -277,7 +287,7 @@ def invert(f: Generator, d: float) -> TvCertificate:
     if math.isnan(d) or d < -1e-12:
         raise DomainError(f"divergence values are nonnegative, got {d!r}")
     d = max(0.0, d)  # max keeps the first of equal values: -0.0 gives +0.0
-    row = _table_row(f)
+    row = f._bound_row
     if row is not None:
         return TvCertificate(f.name, d, _certify(row, d), METHOD_NUMERIC)
     if not f._phi_monotone:

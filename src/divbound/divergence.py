@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .generator import Generator, builtin
 from .measure import ProbabilityMeasure, _carrier, align
 
@@ -63,8 +64,12 @@ def _divergence_rows(f: Generator, a: np.ndarray, b: np.ndarray):
     it equals the base divergence with the arguments swapped, bit for bit.
     Takes one aligned pair as 1-D arrays, giving a float, or one aligned
     pair per row of 2-D arrays, giving an array of row sums.  Sums within
-    roundoff below zero, in [-1e-12, 0), are clamped to 0.
+    roundoff below zero, in [-1e-12, 0), are clamped to 0.  Terms +inf and
+    -inf in one row, which only a non-convex or mis-declared generator
+    gives, raise ``DomainError``, except in a block of two-atom rows,
+    whose two-term sum gives NaN for them.
     """
+    name = f.name
     if f.base is not None:
         f, a, b = f.base, b, a
     vector = b.ndim == 1
@@ -80,7 +85,11 @@ def _divergence_rows(f: Generator, a: np.ndarray, b: np.ndarray):
         # overflow), so only blocks take it; adding 0.0 turns -0.0 into fsum's +0.0
         sums = rows[:, 0] + rows[:, 1] + 0.0
     else:
-        sums = np.array([math.fsum(row) for row in rows.tolist()])
+        try:
+            sums = np.array([math.fsum(row) for row in rows.tolist()])
+        except ValueError:  # fsum's "-inf + inf"
+            raise DomainError(f"generator {name!r} gives terms +inf and -inf, "
+                              "whose sum is undefined") from None
     sums[(-_NONNEG_CLAMP <= sums) & (sums < 0.0)] = 0.0
     return float(sums[0]) if vector else sums
 

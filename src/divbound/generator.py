@@ -26,6 +26,8 @@ from .errors import DomainError, UnknownGenerator
 if TYPE_CHECKING:
     import numpy as np
 
+    from .bounds import _Row
+
 BUILTIN_NAMES = ("HE", "TV", "KL", "PE", "SH")
 
 
@@ -87,6 +89,13 @@ class Generator:
         from . import bounds
 
         return bounds.check_monotone(self, bounds._MONOTONE_GRID)
+
+    @functools.cached_property
+    def _bound_row(self) -> _Row | None:
+        """``bounds._table_row``: this generator's row of the ``invert`` table, or None."""
+        from . import bounds
+
+        return bounds._table_row(self)
 
 
 def _hellinger(x):

@@ -1,5 +1,6 @@
 """The bound function phi, its inversion, and the closed-form corollaries."""
 
+import dataclasses
 import functools
 import gc
 import json
@@ -476,6 +477,26 @@ class TestSeededInversion:
                 invert(concave, 0.1)
         assert monotone_checks == [concave]
 
+    def test_table_row_resolved_once_per_generator(self, monkeypatch):
+        looked_up = []
+
+        def counted(f):
+            looked_up.append(f)
+            return table_row(f)
+
+        table_row = bounds._table_row
+        monkeypatch.setattr(bounds, "_table_row", counted)
+        chi2 = Generator("chi2", lambda x: (x - 1.0) ** 2, 1.0, 0.0, math.inf)
+        generators = [_table_generator(name) for name in TABLE_NAMES] + [chi2, dual(chi2)]
+        for g in generators[:len(BUILTIN_NAMES)]:  # the built-ins are shared: drop their row
+            monkeypatch.delitem(vars(g), "_bound_row", raising=False)
+        for g in generators:
+            for d in (0.0, 0.1, 0.5, math.inf):
+                invert(g, d)
+            assert g._bound_row is table_row(g)
+        assert looked_up == generators
+        assert [g._bound_row for g in generators[-2:]] == [None, None]
+
     def test_verdict_is_dropped_with_its_generator(self, monotone_checks):
         # the verdict lives on the generator object, so nothing else keeps the generator alive
         g = _custom_generators()[0]
@@ -595,6 +616,47 @@ class TestCertificate:
             TvCertificate("KL", -0.5, 1.0, "numeric-inversion")
         with pytest.raises(DomainError):
             TvCertificate("KL", 0.1, 1.0, "guesswork")
+
+    def test_fields_are_frozen_and_in_order(self):
+        cert = invert(builtin("KL"), 0.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.tv_upper_bound = 1.0
+        assert [f.name for f in dataclasses.fields(TvCertificate)] == [
+            "divergence_name", "divergence_value", "tv_upper_bound", "method"]
+
+    def test_invert_result_is_the_keyword_built_certificate(self):
+        for name in TABLE_NAMES:
+            cert = invert(_table_generator(name), 0.1)
+            same = TvCertificate(divergence_name=name, divergence_value=0.1,
+                                 tv_upper_bound=cert.tv_upper_bound, method="numeric-inversion")
+            assert cert == same and hash(cert) == hash(same) and repr(cert) == repr(same)
+            assert dataclasses.replace(cert) == cert
+        assert repr(TvCertificate("KL", 0.1, 0.5, "numeric-inversion")) == (
+            "TvCertificate(divergence_name='KL', divergence_value=0.1, tv_upper_bound=0.5, "
+            "method='numeric-inversion')")
+
+    def test_replace_runs_the_checks(self):
+        cert = invert(builtin("KL"), 0.1)
+        with pytest.raises(DomainError, match=r"^tv_upper_bound must lie in \[0, 2\], got 2\.5$"):
+            dataclasses.replace(cert, tv_upper_bound=2.5)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("KL", -0.5, 1.0, "numeric-inversion"), "divergence values are nonnegative, got -0.5"),
+            (("KL", 0.1, -1.0, "numeric-inversion"), "tv_upper_bound must lie in [0, 2], got -1.0"),
+            (("KL", 0.1, 1.0, "guesswork"), "unknown certificate method 'guesswork'"),
+            # checked in that order: a bad value is named before a bad bound or method
+            (("KL", math.nan, math.nan, "guesswork"), "divergence values are nonnegative, got nan"),
+            (("KL", math.nan, 1.0, "guesswork"), "divergence values are nonnegative, got nan"),
+            (("KL", 0.1, 3.0, "guesswork"), "tv_upper_bound must lie in [0, 2], got 3.0"),
+        ],
+        ids=["value", "bound", "method", "all-three", "value-and-method", "bound-and-method"],
+    )
+    def test_check_messages_and_order(self, args, message):
+        with pytest.raises(DomainError) as raised:
+            TvCertificate(*args)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize(
         "field, bad",

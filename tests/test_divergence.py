@@ -11,6 +11,7 @@ from divbound import (
     AbsoluteContinuityViolation,
     BUILTIN_NAMES,
     DivergenceValue,
+    DomainError,
     Generator,
     ProbabilityMeasure,
     builtin,
@@ -183,15 +184,22 @@ class TestRowSums:
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_one_pair_sums_with_fsum_at_every_width(self, n):
-        # terms of +inf and -inf, which only a generator that is not convex gives: fsum raises
-        # where the sweeps' two-term row sum gives NaN
+        # terms of +inf and -inf, which only a generator that is not convex gives: fsum's
+        # error becomes a DomainError naming the generator, where the sweeps' two-term row
+        # sum gives NaN
         def step(x):
             return np.where(x == 1.0, 0.0, np.where(x > 1.0, np.inf, -np.inf))
 
-        g = Generator("nonconvex", step, 0.0)
+        g = Generator("nonconvex", step, 0.0, None, 1.0)
         mu, nu = pm(*[0.25] * (n - 1), 1.0 - 0.25 * (n - 1)), pm(*[1.0 / n] * n)
-        with pytest.raises(ValueError, match="inf"):
-            d_f(g, mu, nu)
+        for f, a, b in ((g, mu, nu), (dual(g), nu, mu)):
+            with pytest.raises(DomainError) as raised:
+                d_f(f, a, b)
+            assert str(raised.value) == (f"generator {f.name!r} gives terms +inf and -inf, "
+                                         "whose sum is undefined")
+        a, b = np.array([[0.25, 0.75]]), np.array([[0.5, 0.5]])
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(_divergence_rows(g, a, b)[0])
 
     def test_negative_zero_terms_sum_to_positive_zero(self):
         g = Generator("negzero", lambda x: -0.0 * (x - 1.0) ** 2, -0.0, None)
