@@ -4,13 +4,15 @@ Each row times one layer or one CLI call: CLI and start-up rows run
 ``python -m divbound`` or ``python -c`` as a subprocess (interpreter start
 included), the rest run in this process.
 A row's figures are the best and the median of its runs, in milliseconds;
-one call times every row five times.  Running again with the same ``--pr``
-adds five more runs to each row of the file, so that on a shared host both
-figures can be taken over runs spread in time, alternating with runs on
-another tree.  The file records the host's CPU count and the Python and
-numpy versions, and the script prints a diff against the newest earlier
-BENCH_*.json in the same directory.  It measures the ``src/`` tree next to
-it:
+one call times every row five times, after a full collection that
+freezes every object alive (``gc.freeze``), so that no collection timed
+in a row walks the 1e6-atom inputs the rows keep.  Running again with
+the same ``--pr`` adds five more runs to each row of the file, so that
+on a shared host both figures can be taken over runs spread in time,
+alternating with runs on another tree.  The file records the host's CPU
+count and the Python and numpy versions, and the script prints a diff
+against the newest earlier BENCH_*.json in the same directory.  It
+measures the ``src/`` tree next to it:
 
     python3 benchmarks/layers.py --pr 11
 """
@@ -18,6 +20,7 @@ it:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -165,6 +168,8 @@ def rows(work: Path):
     for resolution in (200, 800):
         yield (f"tightness_gap KL, d=0.1, resolution {resolution}",
                lambda r=resolution: db.tightness_gap(kl, 0.1, r))
+    for resolution in (200, 800):
+        yield f"scan_binary KL, resolution {resolution}", lambda r=resolution: db.scan_binary(kl, r)
 
 
 def previous(pr: int) -> Path | None:
@@ -199,6 +204,8 @@ def main(argv=None) -> int:
     earlier_runs = json.loads(out.read_text())["rows"] if out.exists() else {}
     with tempfile.TemporaryDirectory() as work:
         for name, run in rows(Path(work)):
+            gc.collect()
+            gc.freeze()
             times = earlier_runs.get(name, {}).get("runs_ms", []) + [round(t, 2) for t in timed_ms(run)]
             row = {"best_ms": min(times), "median_ms": statistics.median(times), "runs_ms": times}
             result["rows"][name] = row

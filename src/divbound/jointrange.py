@@ -27,7 +27,6 @@ from .generator import Generator
 from .measure import ProbabilityMeasure, _check_probability_weights, _ordered_sum
 
 _NU_FLOOR = 1e-9
-_SEED_LIMIT = 1 << 128
 _TRIAL_STRIDE = 1 << 64
 # atoms per measure in one sweep block (at most 4096 trials), unless a
 # single trial has more: memory stays flat however many trials run
@@ -88,11 +87,10 @@ def random_pair(n: int, seed: int) -> tuple[ProbabilityMeasure, ProbabilityMeasu
     n = int(n)
     if n < 2:
         raise DomainError(f"support size must be at least 2, got {n}")
-    seed = int(seed)
-    if not 0 <= seed < _SEED_LIMIT:
+    high, low = divmod(int(seed), _TRIAL_STRIDE)  # the key words of Philox(key=seed)
+    if not 0 <= high < _TRIAL_STRIDE:
         raise DomainError("seed must be an unsigned integer below 2**128")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return _measure_pair(*_normalized_pair(rng.standard_exponential(2 * n, method="inv")))
+    return _measure_pair(*_normalized_pair(_exponential_rows(low, range(high, high + 1), 2 * n)[0]))
 
 
 def _normalized_pair(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,15 +109,15 @@ def _measure_pair(mu_w, nu_w) -> tuple[ProbabilityMeasure, ProbabilityMeasure]:
     return ProbabilityMeasure(atoms, mu_w), ProbabilityMeasure(atoms, nu_w)
 
 
-def _exponential_rows(rng: np.random.Generator, seed: int, trials: range, width: int) -> np.ndarray:
+def _exponential_rows(seed: int, trials: range, width: int) -> np.ndarray:
     """One row of ``width`` inverse-CDF exponentials per trial k, keyed seed + k * 2**64.
 
-    ``rng`` must run on a Philox bit generator, which is re-keyed in
-    place for each row: key words [seed, k] (the low and high 64 bits of
-    seed + k * 2**64), counter 0 and an empty buffer are the state that
-    ``np.random.Philox(key=seed + k * 2**64)`` starts in, at a fraction of
-    the cost of building one.
+    One Philox generator is re-keyed in place for each row: key words [seed, k]
+    (the low and high 64 bits of seed + k * 2**64), counter 0 and an empty
+    buffer are the state that ``np.random.Philox(key=seed + k * 2**64)``
+    starts in, at a fraction of the cost of building one.
     """
+    rng = np.random.Generator(np.random.Philox(key=0))
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     key = state["state"]["key"]
@@ -140,16 +138,25 @@ def _violations(f: Generator, mu_w: np.ndarray, nu_w: np.ndarray) -> np.ndarray:
         return np.where(np.isinf(div), 0.0, lower_bound(f, tv) - div)
 
 
-def _open_grid(resolution: int) -> np.ndarray:
+def _grid_blocks(f: Generator, resolution: int):
+    """(p, q, tv, divergence) of the Bernoulli pairs on an open resolution² grid, p-major, in
+    blocks of whole p rows of at most _BLOCK_ATOMS atoms per measure (or one row).
+
+    The resolution is checked on the call, before the first block is drawn.
+    """
     resolution = int(resolution)
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
-    return np.arange(1, resolution + 1) / (resolution + 1.0)
+    grid = np.arange(1, resolution + 1) / (resolution + 1.0)
+    weights = np.stack([grid, 1.0 - grid], axis=-1)  # (p, 1 - p), one row per grid point
+    rows = max(1, _BLOCK_ATOMS // (2 * resolution))
 
-
-def _bernoulli(p) -> np.ndarray:
-    # the weights (p, 1 - p), one row per entry of p
-    return np.stack([p, 1.0 - p], axis=-1)
+    def blocks():
+        for start in range(0, resolution, rows):
+            a = np.repeat(weights[start:start + rows], resolution, axis=0)
+            b = np.tile(weights, (len(a) // resolution, 1))
+            yield a[:, 0], b[:, 0], 2.0 * np.abs(a[:, 0] - b[:, 0]), _divergence_rows(f, a, b)
+    return blocks()
 
 
 def scan_binary(f: Generator, resolution: int) -> list[ScanRecord]:
@@ -159,15 +166,13 @@ def scan_binary(f: Generator, resolution: int) -> list[ScanRecord]:
     records tv = 2|p - q|, the divergence, the bound phi(tv/2), and the
     slack between them.
     """
-    grid = _open_grid(resolution)
-    p, q = np.repeat(grid, grid.size), np.tile(grid, grid.size)
-    tv = 2.0 * np.abs(p - q)
-    div = _divergence_rows(f, _bernoulli(p), _bernoulli(q))
-    floor = lower_bound(f, tv)
-    with np.errstate(invalid="ignore"):
-        slack = np.where(np.isinf(div) & np.isinf(floor), 0.0, div - floor)
-    columns = (p, q, tv, div, floor, slack)
-    return list(map(ScanRecord._make, zip(*(c.tolist() for c in columns))))
+    records = []
+    for p, q, tv, div in _grid_blocks(f, resolution):
+        floor = lower_bound(f, tv)
+        with np.errstate(invalid="ignore"):
+            slack = np.where(np.isinf(div) & np.isinf(floor), 0.0, div - floor)
+        records += map(ScanRecord._make, zip(*(c.tolist() for c in (p, q, tv, div, floor, slack))))
+    return records
 
 
 def verify_bound(
@@ -194,14 +199,13 @@ def verify_bound(
     seed = int(seed)
     if not 0 <= seed < _TRIAL_STRIDE:
         raise DomainError("seed must be an unsigned integer below 2**64")
-    rng = np.random.Generator(np.random.Philox(key=seed))  # re-keyed per trial
     worst, worst_trial, worst_rows = -math.inf, trials, None
     for n in range(2, min(max_support, trials + 1) + 1):
         group = range(n - 2, trials, max_support - 1)
         size = max(1, _BLOCK_ATOMS // n)
         for start in range(0, len(group), size):
             block = group[start:start + size]
-            mu_w, nu_w = _normalized_pair(_exponential_rows(rng, seed, block, 2 * n))
+            mu_w, nu_w = _normalized_pair(_exponential_rows(seed, block, 2 * n))
             _check_probability_weights(mu_w)
             _check_probability_weights(nu_w)
             violation = _violations(f, mu_w, nu_w)
@@ -229,13 +233,9 @@ def tightness_gap(
     d_target = float(d_target)
     if math.isnan(d_target) or math.isinf(d_target) or d_target < 0.0:
         raise DomainError(f"divergence budget must be finite and nonnegative, got {d_target!r}")
-    qs = _open_grid(resolution)
+    blocks = _grid_blocks(f, resolution)  # checks the resolution before invert runs
     certified = invert(f, d_target).tv_upper_bound
-    rows_q = _bernoulli(qs)
-    achieved = 0.0
-    for p in qs:
-        div = _divergence_rows(f, np.broadcast_to(_bernoulli(p), rows_q.shape), rows_q)
-        achieved = max(achieved, float(np.max(2.0 * np.abs(p - qs[div <= d_target]), initial=0.0)))
+    achieved = max(float(np.max(tv[div <= d_target], initial=0.0)) for _, _, tv, div in blocks)
     return certified, achieved, certified - achieved
 
 

@@ -14,15 +14,18 @@ from hypothesis import strategies as st
 from divbound import (
     MeasureFormatError,
     ProbabilityMeasure,
+    ScanRecord,
     SignedMeasure,
     VerificationReport,
     d_f,
     format_extended,
+    invert,
     lower_bound,
     phi,
     random_pair,
     tv_distance,
 )
+from divbound.divergence import _divergence_rows
 
 
 def atoms(n: int) -> tuple[str, ...]:
@@ -173,6 +176,30 @@ def verify_bound_loop(f, trials: int, max_support: int, seed: int) -> Verificati
             worst_pair = (mu, nu)
     assert worst_pair is not None
     return VerificationReport(f.name, trials, worst, worst_pair, seed)
+
+
+def scan_binary_grid(f, resolution: int) -> list[ScanRecord]:
+    """Reference binary scan: the whole resolution² grid in one divergence kernel call."""
+    grid = np.arange(1, resolution + 1) / (resolution + 1.0)
+    p, q = np.repeat(grid, grid.size), np.tile(grid, grid.size)
+    tv = 2.0 * np.abs(p - q)
+    div = _divergence_rows(f, np.stack([p, 1.0 - p], axis=-1), np.stack([q, 1.0 - q], axis=-1))
+    floor = lower_bound(f, tv)
+    with np.errstate(invalid="ignore"):
+        slack = np.where(np.isinf(div) & np.isinf(floor), 0.0, div - floor)
+    return list(map(ScanRecord._make, zip(*(c.tolist() for c in (p, q, tv, div, floor, slack)))))
+
+
+def tightness_gap_rows(f, d_target: float, resolution: int) -> tuple[float, float, float]:
+    """Reference tightness search: one divergence kernel call per p row of the grid."""
+    qs = np.arange(1, resolution + 1) / (resolution + 1.0)
+    certified = invert(f, d_target).tv_upper_bound
+    rows_q = np.stack([qs, 1.0 - qs], axis=-1)
+    achieved = 0.0
+    for p in qs:
+        div = _divergence_rows(f, np.broadcast_to(np.stack([p, 1.0 - p]), rows_q.shape), rows_q)
+        achieved = max(achieved, float(np.max(2.0 * np.abs(p - qs[div <= d_target]), initial=0.0)))
+    return certified, achieved, certified - achieved
 
 
 def align_per_atom(a: SignedMeasure, b: SignedMeasure):

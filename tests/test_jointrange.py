@@ -2,6 +2,8 @@
 
 import io
 import math
+from array import array
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -22,8 +24,16 @@ from divbound import (
     tightness_gap,
     verify_bound,
 )
-from divbound.jointrange import _exponential_rows
-from helpers import bits, pm, scan_to_csv_cells, verify_bound_loop
+from divbound import jointrange
+from divbound.jointrange import _exponential_rows, _normalized_pair
+from helpers import (
+    bits,
+    pm,
+    scan_binary_grid,
+    scan_to_csv_cells,
+    tightness_gap_rows,
+    verify_bound_loop,
+)
 
 # 0.5*log(4/3) and phi_KL(0.25), both at 50 digits
 KL_EXAMPLE = 0.14384103622589045
@@ -59,6 +69,17 @@ class TestRandomPair:
             random_pair(1, 0)
         with pytest.raises(DomainError):
             random_pair(3, -1)
+        with pytest.raises(DomainError):
+            random_pair(3, 1 << 128)
+
+    @pytest.mark.parametrize("seed", (0, (1 << 64) - 1, 1 << 64, (1 << 64) + 5, (1 << 128) - 1))
+    @pytest.mark.parametrize("n", (2, 5, 64))
+    def test_equals_fresh_philox_stream(self, seed, n):
+        # random_pair reads row 0 of the sweep's re-keyed rows; a fresh generator is the oracle
+        fresh = np.random.Generator(np.random.Philox(key=seed))
+        want = _normalized_pair(fresh.standard_exponential(2 * n, method="inv"))
+        for got, w in zip(random_pair(n, seed), want):
+            assert got.weights.tobytes() == w.tobytes()
 
 
 class TestScanBinary:
@@ -272,11 +293,49 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("seed", (0, (1 << 64) - 1))
     @pytest.mark.parametrize("width", (4, 5, 7, 128))
     def test_rekeyed_rows_equal_fresh_philox_streams(self, seed, width):
-        rng = np.random.Generator(np.random.Philox())
-        rows = _exponential_rows(rng, seed, range(10_000), width)
+        rows = _exponential_rows(seed, range(10_000), width)
         for k, row in enumerate(rows):
             fresh = np.random.Generator(np.random.Philox(key=seed + k * (1 << 64)))
             assert row.tobytes() == fresh.standard_exponential(width, method="inv").tobytes(), k
+
+
+GRID_GENERATORS = [builtin(name) for name in BUILTIN_NAMES]
+GRID_GENERATORS += [dual(builtin(name)) for name in ("HE", "PE", "KL")]
+GRID_GENERATORS += [Generator("chi2", lambda x: (x - 1.0) ** 2, 1.0, 0.0)]
+
+
+def cells(records) -> bytes:
+    return array("d", chain.from_iterable(records)).tobytes()
+
+
+class TestGridWalk:
+    """scan_binary and tightness_gap walk the grid in blocks; whole-grid and per-row oracles."""
+
+    # 8 atoms per measure: one p row per block from resolution 3 up
+    @pytest.fixture(params=(None, 8), ids=("default-blocks", "8-atom-blocks"))
+    def blocks(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(jointrange, "_BLOCK_ATOMS", request.param)
+
+    @pytest.mark.parametrize("resolution", (2, 3, 100, 400))  # 100: a ragged last block
+    @pytest.mark.parametrize("f", GRID_GENERATORS, ids=lambda f: f.name)
+    def test_scan_equals_whole_grid(self, blocks, f, resolution):
+        got, want = scan_binary(f, resolution), scan_binary_grid(f, resolution)
+        assert all(type(r) is ScanRecord for r in got)
+        assert cells(got) == cells(want)
+
+    @pytest.mark.parametrize("resolution", (2, 3, 100, 400))
+    @pytest.mark.parametrize("f", GRID_GENERATORS, ids=lambda f: f.name)
+    def test_gap_equals_per_row_search(self, blocks, f, resolution):
+        for d in (0.0, 1e-6, 0.01, 0.1, 1.0, 3.0):
+            got, want = tightness_gap(f, d, resolution), tightness_gap_rows(f, d, resolution)
+            assert [bits(x) for x in got] == [bits(x) for x in want], d
+
+    def test_resolution_is_checked_before_invert(self):
+        # invert raises NonMonotoneGenerator, not DomainError, for this generator
+        concave = Generator("cap", lambda x: -((x - 1.0) ** 2), -1.0, None)
+        with pytest.raises(DomainError, match="resolution"):
+            tightness_gap(concave, 0.1, 1)
 
 
 class TestTightnessGap:
