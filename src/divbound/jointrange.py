@@ -4,18 +4,18 @@ Brute-force oracles on small alphabets: seeded random measure pairs,
 exhaustive scans of binary (two-atom) pairs, soundness sweeps of the
 bound over many random pairs, and grid searches for the largest total
 variation actually attainable at a given divergence budget.  Everything
-is deterministic per seed; trials are independent, and the report merge
-(max plus argmax, the earliest trial winning ties) is associative, so
-callers may parallelize without changing results.  The soundness sweep
-itself evaluates its trials in blocks of equal support size and gives
-the same report, bit for bit, as evaluating them one at a time.
+is deterministic per seed.  The soundness sweep draws each support size's
+pairs, in trial order, from one counter-based (Philox) stream keyed by
+the seed and the size, and evaluates them in blocks of that size; the
+report merge (max plus argmax, the earliest trial winning ties) gives the
+same report, bit for bit, as evaluating the trials one at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .generator import Generator
 from .measure import ProbabilityMeasure, _check_probability_weights, _ordered_sum
 
 _NU_FLOOR = 1e-9
-_TRIAL_STRIDE = 1 << 64
+_KEY_STRIDE = 1 << 64
 # atoms per measure in one sweep block (at most 4096 trials), unless a
 # single trial has more: memory stays flat however many trials run
 _BLOCK_ATOMS = 1 << 13
@@ -78,19 +78,20 @@ class VerificationReport:
 def random_pair(n: int, seed: int) -> tuple[ProbabilityMeasure, ProbabilityMeasure]:
     """Two seeded random probability measures on the same n atoms.
 
-    Weights are normalized exponential variates from a counter-based
-    (Philox) stream, so results are reproducible across platforms and
-    depend only on (n, seed).  The second measure is floored at 1e-9 per
-    atom and renormalized, guaranteeing strictly positive weights and
-    hence absolute continuity of the first measure with respect to it.
+    Weights are the first 2n inverse-CDF exponential variates of the
+    counter-based stream ``np.random.Philox(key=seed)``, normalized, so
+    results are reproducible across platforms and depend only on
+    (n, seed).  The second measure is floored at 1e-9 per atom and
+    renormalized, guaranteeing strictly positive weights and hence
+    absolute continuity of the first measure with respect to it.
     """
     n = int(n)
     if n < 2:
         raise DomainError(f"support size must be at least 2, got {n}")
-    high, low = divmod(int(seed), _TRIAL_STRIDE)  # the key words of Philox(key=seed)
-    if not 0 <= high < _TRIAL_STRIDE:
+    seed = int(seed)
+    if not 0 <= seed < _KEY_STRIDE * _KEY_STRIDE:
         raise DomainError("seed must be an unsigned integer below 2**128")
-    return _measure_pair(*_normalized_pair(_exponential_rows(low, range(high, high + 1), 2 * n)[0]))
+    return _measure_pair(*_normalized_pair(_exponential_stream(seed)(1, 2 * n)[0]))
 
 
 def _normalized_pair(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,24 +110,15 @@ def _measure_pair(mu_w, nu_w) -> tuple[ProbabilityMeasure, ProbabilityMeasure]:
     return ProbabilityMeasure(atoms, mu_w), ProbabilityMeasure(atoms, nu_w)
 
 
-def _exponential_rows(seed: int, trials: range, width: int) -> np.ndarray:
-    """One row of ``width`` inverse-CDF exponentials per trial k, keyed seed + k * 2**64.
+def _exponential_stream(key: int) -> Callable[[int, int], np.ndarray]:
+    """Draws of (rows, width) inverse-CDF exponentials from ``np.random.Philox(key=key)``.
 
-    One Philox generator is re-keyed in place for each row: key words [seed, k]
-    (the low and high 64 bits of seed + k * 2**64), counter 0 and an empty
-    buffer are the state that ``np.random.Philox(key=seed + k * 2**64)``
-    starts in, at a fraction of the cost of building one.
+    Each draw continues the stream in row-major order.  The inverse method takes one
+    64-bit word per value and Philox keeps its unused words across draws, so how a
+    stream is split into draws never changes a value.
     """
-    rng = np.random.Generator(np.random.Philox(key=0))
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    key = state["state"]["key"]
-    out = np.empty((len(trials), width))
-    for k, row in zip(trials, out):
-        key[1] = k
-        rng.bit_generator.state = state
-        rng.standard_exponential(out=row, method="inv")
-    return out
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return lambda rows, width: rng.standard_exponential((rows, width), method="inv")
 
 
 def _violations(f: Generator, mu_w: np.ndarray, nu_w: np.ndarray) -> np.ndarray:
@@ -184,11 +176,14 @@ def verify_bound(
     and reports the largest value of (lower bound - divergence) seen,
     together with the pair attaining it; the earliest trial wins ties.
     Infinite divergences satisfy the bound trivially and count as
-    violation 0.  Trial k draws ``random_pair(n, seed + k * 2**64)`` with
-    n = 2 + k % (max_support - 1), so the report depends only on
-    (generator, trials, max_support, seed).  Trials are evaluated in
-    blocks of one support size, never in trial order, with the same
-    report bit for bit.
+    violation 0.  Trial k has support size n = 2 + k % (max_support - 1)
+    and is the pair j = k // (max_support - 1) of that size: its 2n
+    variates are row j of the stream of ``Philox(key=seed + n * 2**64)``,
+    so the first pair of each size is ``random_pair(n, seed + n * 2**64)``.
+    A pair depends only on (seed, n, j), so more trials at the same
+    max_support keep every earlier pair.  Trials are evaluated in blocks
+    of one support size, never in trial order, with the same report bit
+    for bit.
     """
     trials = int(trials)
     max_support = int(max_support)
@@ -197,15 +192,16 @@ def verify_bound(
     if max_support < 2:
         raise DomainError("max_support must be at least 2")
     seed = int(seed)
-    if not 0 <= seed < _TRIAL_STRIDE:
+    if not 0 <= seed < _KEY_STRIDE:
         raise DomainError("seed must be an unsigned integer below 2**64")
     worst, worst_trial, worst_rows = -math.inf, trials, None
     for n in range(2, min(max_support, trials + 1) + 1):
         group = range(n - 2, trials, max_support - 1)
         size = max(1, _BLOCK_ATOMS // n)
+        draw = _exponential_stream(seed + n * _KEY_STRIDE)
         for start in range(0, len(group), size):
             block = group[start:start + size]
-            mu_w, nu_w = _normalized_pair(_exponential_rows(seed, block, 2 * n))
+            mu_w, nu_w = _normalized_pair(draw(len(block), 2 * n))
             _check_probability_weights(mu_w)
             _check_probability_weights(nu_w)
             violation = _violations(f, mu_w, nu_w)

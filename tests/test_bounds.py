@@ -151,14 +151,17 @@ class TestOneFloorPath:
     @pytest.mark.parametrize("f", WITH_DUALS, ids=lambda f: f.name)
     def test_array_floors_equal_scalar_floors(self, f):
         tv = np.concatenate([2.0 * AGREEMENT_T, [2.0, math.nextafter(2.0, 3.0), 2.0 + 2e-9]])
+        # floors are phi(tv / 2), except that rounding below 0 is raised to +0.0
         floors = lower_bound(f, tv)
         assert isinstance(floors, np.ndarray) and floors.shape == tv.shape
-        assert floors.tobytes() == bounds._phi_array(f, np.minimum(tv, 2.0) / 2.0).tobytes()
+        phis = bounds._phi_array(f, np.minimum(tv, 2.0) / 2.0)
+        assert floors.tobytes() == np.where(phis < 0.0, 0.0, phis).tobytes()
         for i in [*range(0, tv.size, 100), *range(tv.size - 8, tv.size)]:
             t = float(tv[i])
             scalar = lower_bound(f, t)
             assert type(scalar) is float
-            assert bits(floors[i]) == bits(scalar) == bits(phi(f, min(t, 2.0) / 2.0)), t
+            value = phi(f, min(t, 2.0) / 2.0)
+            assert bits(floors[i]) == bits(scalar) == bits(0.0 if value < 0.0 else value), t
 
     @pytest.mark.parametrize("bad", [math.nan, -5e-324, -0.1, math.nextafter(2.0 + 2e-9, 3.0),
                                      2.1, math.inf])
@@ -168,6 +171,17 @@ class TestOneFloorPath:
                 lower_bound(f, np.array([0.5, bad, 1.0]))
             with pytest.raises(DomainError, match=f"got {bad!r}$"):
                 lower_bound(f, bad)
+
+    @pytest.mark.parametrize("f", WITH_DUALS, ids=lambda f: f.name)
+    def test_no_floor_is_negative(self, f):
+        # f(1 + t) and f(1 - t) cancel at tiny t, and rounding took SH, KL and their duals
+        # below 0 there; phi >= 2 f(1) = 0, so such floors are +0.0, never -0.0
+        tv = np.concatenate([[0.0, 5e-324], np.geomspace(1e-16, 1e-6, 2001),
+                             np.geomspace(1e-14, 2.0, 2001)])
+        floors = lower_bound(f, tv)
+        assert not np.signbit(floors).any(), tv[np.signbit(floors)][:5].tolist()
+        for t in (0.0, 1e-16, 1e-14, 3e-10):
+            assert not math.copysign(1.0, lower_bound(f, t)) < 0.0, t
 
     def test_empty_array_gives_no_floors(self):
         assert lower_bound(builtin("KL"), np.array([])).shape == (0,)

@@ -1,10 +1,12 @@
 """Command-line contract: outputs, formats, and the 0/2/3 exit code scheme."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -157,6 +159,14 @@ class TestBound:
         assert code == 0
         assert out.strip() == "0"
 
+    @pytest.mark.parametrize("gen", ("sh", "kl"))
+    def test_tiny_tv_floor_is_not_negative(self, capsys, gen):
+        # phi rounded to -1.1e-16 for SH at tv = 1e-14 and 5e-14, and for KL at 1.122e-16
+        for tv in ("1e-14", "5e-14", "1.1220184543019654e-16"):
+            code, out, _ = run(capsys, "bound", "--gen", gen, "--tv", tv, "--precision", "17")
+            assert code == 0
+            assert not out.startswith("-") and float(out) >= 0.0, (tv, out)
+
     def test_floor_prints_rounded_down(self, capsys):
         exact = lower_bound(builtin("KL"), 0.5)
         for precision in range(1, 18):
@@ -261,6 +271,31 @@ class TestVerify:
                            "--max-support", max_support, "--precision", "17")
         assert code == 0
         assert out == (FIXTURES / f"verify_{gen}_{max_support}.json").read_text()
+
+    # each generator as (float f on x > 0, mpmath f), written apart from divbound
+    GENERATORS = {
+        "HE": (lambda x: (math.sqrt(x) - 1.0) ** 2, lambda x: (mpmath.sqrt(x) - 1) ** 2),
+        "TV": (lambda x: abs(x - 1.0), lambda x: abs(x - 1)),
+        "KL": (lambda x: x * math.log(x), lambda x: x * mpmath.log(x)),
+        "PE": (lambda x: (x - 1.0) ** 2, lambda x: (x - 1) ** 2),
+        "SH": (lambda x: -math.log(x), lambda x: -mpmath.log(x)),
+    }
+
+    @pytest.mark.parametrize("max_support", ("8", "64"))
+    @pytest.mark.parametrize("gen", ("he", "tv", "kl", "pe", "sh"))
+    def test_golden_violation_recomputes_from_its_worst_pair(self, gen, max_support):
+        # phi(tv/2) at 60 digits minus sum nu f(mu/nu) by fsum; the tolerance is the benchmark's
+        data = json.loads((FIXTURES / f"verify_{gen}_{max_support}.json").read_text())
+        f, f_mp = self.GENERATORS[data["generator"]]
+        mu = [a["w"] for a in data["worst_pair"]["mu"]["atoms"]]
+        nu = [a["w"] for a in data["worst_pair"]["nu"]["atoms"]]
+        assert all(w > 0.0 for w in mu + nu)
+        divergence = math.fsum(n * f(m / n) for m, n in zip(mu, nu))
+        with mpmath.workdps(60):
+            t = mpmath.fsum(abs(mpmath.mpf(m) - mpmath.mpf(n)) for m, n in zip(mu, nu)) / 2
+            violation = float(f_mp(1 + t) + f_mp(1 - t) - divergence)
+        reported = float(data["max_violation"])
+        assert abs(reported - violation) <= 1e-12 + 1e-9 * abs(violation), (reported, violation)
 
 
 class TestScan:

@@ -25,7 +25,7 @@ from divbound import (
     verify_bound,
 )
 from divbound import jointrange
-from divbound.jointrange import _exponential_rows, _normalized_pair
+from divbound.jointrange import _exponential_stream, _normalized_pair
 from helpers import (
     bits,
     pm,
@@ -257,24 +257,41 @@ SWEEP_GENERATORS.update({"dual(HE)": dual(builtin("HE")), "dual(KL)": dual(built
 # (trials, max_support): one group, empty groups, TV's ties at 0.0, and a
 # max_support far above the trial count
 SWEEP_CASES = ((1, 2), (5, 3), (63, 64), (200, 8), (130, 64), (3, 10**9))
+DEFAULT_BLOCK_ATOMS = jointrange._BLOCK_ATOMS
 
 
 class TestBlockedSweep:
     """verify_bound evaluates support-size blocks; the per-trial loop is the oracle."""
 
+    @staticmethod
+    def assert_equals_per_trial_loop(monkeypatch, f, trials, max_support, seed):
+        case = (trials, max_support, seed)
+        try:
+            want = verify_bound_loop(f, trials, max_support, seed)
+        except DomainError:
+            want = None
+        # 8 atoms per measure: blocks of one to four trials, many of them ragged
+        for block_atoms in (DEFAULT_BLOCK_ATOMS, 8):
+            monkeypatch.setattr(jointrange, "_BLOCK_ATOMS", block_atoms)
+            if want is None:
+                with pytest.raises(DomainError, match="every trial's violation was NaN"):
+                    verify_bound(f, trials, max_support, seed)
+                continue
+            got = verify_bound(f, trials, max_support, seed)
+            assert bits(got.max_violation) == bits(want.max_violation), (case, block_atoms)
+            for g, w in zip(got.worst_pair, want.worst_pair):
+                assert g.atoms == w.atoms, (case, block_atoms)
+                assert g.weights.tobytes() == w.weights.tobytes(), (case, block_atoms)
+            assert (got.generator_name, got.trials, got.seed) == (f.name, trials, seed)
+        return want
+
     @pytest.mark.parametrize("seed", (0, 7, 20240917))
     @pytest.mark.parametrize("name", sorted(SWEEP_GENERATORS))
-    def test_report_equals_per_trial_loop(self, name, seed):
-        f = SWEEP_GENERATORS[name]
+    def test_report_equals_per_trial_loop(self, monkeypatch, name, seed):
         for trials, max_support in SWEEP_CASES:
-            got = verify_bound(f, trials, max_support, seed)
-            want = verify_bound_loop(f, trials, max_support, seed)
-            case = (trials, max_support)
-            assert bits(got.max_violation) == bits(want.max_violation), case
-            for g, w in zip(got.worst_pair, want.worst_pair):
-                assert g.atoms == w.atoms, case
-                assert g.weights.tobytes() == w.weights.tobytes(), case
-            assert (got.generator_name, got.trials, got.seed) == (f.name, trials, seed)
+            want = self.assert_equals_per_trial_loop(
+                monkeypatch, SWEEP_GENERATORS[name], trials, max_support, seed)
+            assert want is not None
 
     @pytest.mark.parametrize("f", [
         # NaN above 2: NaN violations must never win the merge
@@ -282,21 +299,63 @@ class TestBlockedSweep:
         # divergences are roundoff around 0, many in d_f's clamped range [-1e-12, 0)
         Generator("linear", lambda x: x - 1.0, -1.0),
     ], ids=lambda f: f.name)
-    def test_custom_generators_match_per_trial_loop(self, f):
-        for trials, max_support in ((200, 8), (130, 64)):
-            got = verify_bound(f, trials, max_support, 7)
-            want = verify_bound_loop(f, trials, max_support, 7)
-            assert not math.isnan(want.max_violation)
-            assert bits(got.max_violation) == bits(want.max_violation)
-            assert got.worst_pair == want.worst_pair
+    def test_custom_generators_match_per_trial_loop(self, monkeypatch, f):
+        reports = [self.assert_equals_per_trial_loop(monkeypatch, f, trials, max_support, seed)
+                   for seed in (0, 7, 20240917) for trials, max_support in SWEEP_CASES]
+        reports = [r for r in reports if r is not None]
+        assert reports and not any(math.isnan(r.max_violation) for r in reports)
 
     @pytest.mark.parametrize("seed", (0, (1 << 64) - 1))
     @pytest.mark.parametrize("width", (4, 5, 7, 128))
     def test_rekeyed_rows_equal_fresh_philox_streams(self, seed, width):
-        rows = _exponential_rows(seed, range(10_000), width)
-        for k, row in enumerate(rows):
+        # one stream per key, as the sweep keys one per support size: rows drawn in blocks
+        # of 1, 2, 3 and 4 (odd widths end blocks inside Philox's 4-word output) are the
+        # key's fresh stream
+        for k in range(2, 66):
+            draw = _exponential_stream(seed + k * (1 << 64))
+            rows = np.concatenate([draw(r, width) for r in (1, 2, 3, 4)])
             fresh = np.random.Generator(np.random.Philox(key=seed + k * (1 << 64)))
-            assert row.tobytes() == fresh.standard_exponential(width, method="inv").tobytes(), k
+            assert rows.tobytes() == fresh.standard_exponential(10 * width, method="inv").tobytes(), k
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The (mu, nu) weight rows verify_bound evaluates, per support size, in the order drawn."""
+    rows = {}
+    violations = jointrange._violations
+
+    def spy(f, mu_w, nu_w):
+        rows.setdefault(mu_w.shape[1], []).extend(zip(mu_w.tolist(), nu_w.tolist()))
+        return violations(f, mu_w, nu_w)
+    monkeypatch.setattr(jointrange, "_violations", spy)
+    return rows
+
+
+class TestSweepStream:
+    """Each support size n draws its pairs, in trial order, from Philox(key=seed + n * 2**64)."""
+
+    @pytest.mark.parametrize("seed", (0, 7, 20240917, (1 << 64) - 1))
+    def test_first_pair_of_each_size_is_random_pair(self, drawn, seed):
+        verify_bound(builtin("KL"), 200, 64, seed)
+        assert sorted(drawn) == list(range(2, 65))
+        for n, pairs in drawn.items():
+            mu, nu = random_pair(n, seed + n * (1 << 64))
+            assert pairs[0] == (mu.weights.tolist(), nu.weights.tolist()), n
+
+    @pytest.mark.parametrize("block_atoms", (None, 8))
+    @pytest.mark.parametrize("max_support", (8, 64))
+    def test_more_trials_keep_every_earlier_pair(self, drawn, monkeypatch, max_support,
+                                                 block_atoms):
+        if block_atoms is not None:
+            monkeypatch.setattr(jointrange, "_BLOCK_ATOMS", block_atoms)
+        verify_bound(builtin("KL"), 150, max_support, 7)
+        fewer = dict(drawn)
+        drawn.clear()
+        verify_bound(builtin("KL"), 1000, max_support, 7)
+        assert sorted(drawn) == sorted(fewer)
+        for n, pairs in fewer.items():
+            assert len(drawn[n]) > len(pairs)
+            assert drawn[n][:len(pairs)] == pairs, n
 
 
 GRID_GENERATORS = [builtin(name) for name in BUILTIN_NAMES]
