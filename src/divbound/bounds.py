@@ -114,7 +114,7 @@ def lower_bound(f: Generator, tv: float | np.ndarray) -> float | np.ndarray:
     measures that each sum to 1 within their 1e-9 tolerance, count as 2.
     A float gives a float; an array gives one floor per entry, equal to the float's bit for bit.
     Rounding can take phi below 0 at tiny tv, where f(1 + t) and f(1 - t) cancel; as
-    phi >= 2 f(1) = 0 for a convex f, such floors are raised to +0.0.
+    phi >= 2 f(1) = 0 for a convex f, such floors, and -0.0, are raised to +0.0.
     """
     import numpy as np
 
@@ -124,7 +124,7 @@ def lower_bound(f: Generator, tv: float | np.ndarray) -> float | np.ndarray:
     if (bad := ~((tv >= 0.0) & (tv <= 2.0 + 2.0 * PROBABILITY_SUM_TOL))).any():
         raise DomainError(f"total variation lies in [0, 2], got {float(tv[bad][0])!r}")
     floors = _phi_array(f, np.minimum(tv, 2.0) / 2.0)
-    floors = np.where(floors < 0.0, 0.0, floors)
+    floors = np.where(floors <= 0.0, 0.0, floors)
     return floors if floors.ndim else float(floors)
 
 

@@ -158,14 +158,12 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "--gen", "sh", "--tv", "0")
         assert code == 0
         assert out.strip() == "0"
-
-    @pytest.mark.parametrize("gen", ("sh", "kl"))
-    def test_tiny_tv_floor_is_not_negative(self, capsys, gen):
         # phi rounded to -1.1e-16 for SH at tv = 1e-14 and 5e-14, and for KL at 1.122e-16
-        for tv in ("1e-14", "5e-14", "1.1220184543019654e-16"):
-            code, out, _ = run(capsys, "bound", "--gen", gen, "--tv", tv, "--precision", "17")
-            assert code == 0
-            assert not out.startswith("-") and float(out) >= 0.0, (tv, out)
+        for gen in ("sh", "kl"):
+            for tv in ("1e-14", "5e-14", "1.1220184543019654e-16"):
+                code, out, _ = run(capsys, "bound", "--gen", gen, "--tv", tv, "--precision", "17")
+                assert code == 0
+                assert not out.startswith("-") and float(out) >= 0.0, (gen, tv, out)
 
     def test_floor_prints_rounded_down(self, capsys):
         exact = lower_bound(builtin("KL"), 0.5)

@@ -308,9 +308,9 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("seed", (0, (1 << 64) - 1))
     @pytest.mark.parametrize("width", (4, 5, 7, 128))
     def test_rekeyed_rows_equal_fresh_philox_streams(self, seed, width):
-        # one stream per key, as the sweep keys one per support size: rows drawn in blocks
-        # of 1, 2, 3 and 4 (odd widths end blocks inside Philox's 4-word output) are the
-        # key's fresh stream
+        # the sweep re-keys once per support size k, to seed + k * 2**64: for each of those
+        # 64 keys, rows drawn in blocks of 1, 2, 3 and 4 (odd widths end blocks inside
+        # Philox's 4-word output) are that key's fresh stream
         for k in range(2, 66):
             draw = _exponential_stream(seed + k * (1 << 64))
             rows = np.concatenate([draw(r, width) for r in (1, 2, 3, 4)])
