@@ -151,17 +151,17 @@ class TestOneFloorPath:
     @pytest.mark.parametrize("f", WITH_DUALS, ids=lambda f: f.name)
     def test_array_floors_equal_scalar_floors(self, f):
         tv = np.concatenate([2.0 * AGREEMENT_T, [2.0, math.nextafter(2.0, 3.0), 2.0 + 2e-9]])
-        # floors are phi(tv / 2), except that rounding below 0 is raised to +0.0
+        # floors are phi(tv / 2), except that rounding to or below 0 is raised to +0.0
         floors = lower_bound(f, tv)
         assert isinstance(floors, np.ndarray) and floors.shape == tv.shape
         phis = bounds._phi_array(f, np.minimum(tv, 2.0) / 2.0)
-        assert floors.tobytes() == np.where(phis < 0.0, 0.0, phis).tobytes()
+        assert floors.tobytes() == np.where(phis <= 0.0, 0.0, phis).tobytes()
         for i in [*range(0, tv.size, 100), *range(tv.size - 8, tv.size)]:
             t = float(tv[i])
             scalar = lower_bound(f, t)
             assert type(scalar) is float
             value = phi(f, min(t, 2.0) / 2.0)
-            assert bits(floors[i]) == bits(scalar) == bits(0.0 if value < 0.0 else value), t
+            assert bits(floors[i]) == bits(scalar) == bits(0.0 if value <= 0.0 else value), t
 
     @pytest.mark.parametrize("bad", [math.nan, -5e-324, -0.1, math.nextafter(2.0 + 2e-9, 3.0),
                                      2.1, math.inf])
@@ -173,8 +173,8 @@ class TestOneFloorPath:
                 lower_bound(f, bad)
 
     # -log written the natural way has f(1) = -0.0, so its phi(0) is -0.0 before the raise
-    @pytest.mark.parametrize("f", WITH_DUALS + [Generator("-log", lambda x: -math.log(x), math.inf)],
-                             ids=lambda f: f.name)
+    @pytest.mark.parametrize(
+        "f", WITH_DUALS + [Generator("-log", lambda x: -math.log(x), math.inf)], ids=lambda f: f.name)
     def test_no_floor_is_negative(self, f):
         # f(1 + t) and f(1 - t) cancel at tiny t, and rounding took SH, KL and their duals
         # below 0 there; phi >= 2 f(1) = 0, so such floors are +0.0, never -0.0
