@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from .errors import DomainError, NonMonotoneGenerator
+from .errors import DomainError, NonMonotoneGenerator, _count
 from .extreal import UP, encode_extended, parse_extended
 from .generator import Generator, is_builtin
 
@@ -137,9 +137,7 @@ def check_monotone(f: Generator, grid_size: int) -> bool:
     """
     import numpy as np
 
-    grid_size = int(grid_size)
-    if grid_size < 2:
-        raise DomainError("grid_size must be at least 2")
+    grid_size = _count("grid_size", grid_size, 2, math.inf)
     values = _phi_array(f, np.arange(grid_size) / (grid_size - 1.0))
     previous, current = values[:-1], values[1:]
     both_inf = np.isinf(previous) & np.isinf(current)
@@ -339,9 +337,7 @@ def hellinger_bound(he: float) -> float:
     he = float(he)
     if math.isnan(he) or he < 0.0:
         raise DomainError(f"divergence values are nonnegative, got {he!r}")
-    if he < 1.0:
-        return 2.0 - 2.0 * (1.0 - math.sqrt(he)) ** 2
-    return 2.0
+    return 2.0 - 2.0 * (1.0 - math.sqrt(he)) ** 2 if he < 1.0 else 2.0
 
 
 def hellinger_certificate(he: float) -> TvCertificate:

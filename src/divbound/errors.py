@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the range check of counts."""
 
 
 class DivboundError(Exception):
@@ -7,6 +7,15 @@ class DivboundError(Exception):
 
 class DomainError(DivboundError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+
+def _count(name: str, value, low: int, high: float) -> int:
+    """``int(value)``, or a DomainError naming ``name`` where that lies outside [low, high]."""
+    if (value := int(value)) < low:
+        raise DomainError(f"{name} must be at least {low}")
+    if value > high:
+        raise DomainError(f"{name} must be at most {high}, got {value}")
+    return value
 
 
 class UnknownGenerator(DivboundError, ValueError):

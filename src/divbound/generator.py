@@ -190,6 +190,8 @@ def default_grid(stop: float = 10.0, step: float = 0.01) -> np.ndarray:
     """The sample grid {0, step, 2*step, ..., stop} used by the checks."""
     import numpy as np
 
+    if not (0.0 <= stop < math.inf and 0.0 < step < math.inf):
+        raise DomainError(f"grid needs a finite stop >= 0 and step > 0, got {stop!r} and {step!r}")
     return np.linspace(0.0, stop, int(round(stop / step)) + 1)
 
 

@@ -14,6 +14,7 @@ same report, bit for bit, as evaluating the trials one at a time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, NamedTuple
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .bounds import invert, lower_bound
 from .divergence import _divergence_rows
-from .errors import DomainError
+from .errors import DomainError, _count
 from .extreal import UP, _nearest_format, encode_extended
 from .generator import Generator
 from .measure import ProbabilityMeasure, _check_probability_weights, _ordered_sum
@@ -85,29 +86,27 @@ def random_pair(n: int, seed: int) -> tuple[ProbabilityMeasure, ProbabilityMeasu
     renormalized, guaranteeing strictly positive weights and hence
     absolute continuity of the first measure with respect to it.
     """
-    n = int(n)
-    if n < 2:
+    if (n := int(n)) < 2:
         raise DomainError(f"support size must be at least 2, got {n}")
-    seed = int(seed)
-    if not 0 <= seed < _KEY_STRIDE * _KEY_STRIDE:
+    if not 0 <= (seed := int(seed)) < _KEY_STRIDE * _KEY_STRIDE:
         raise DomainError("seed must be an unsigned integer below 2**128")
-    return _measure_pair(*_normalized_pair(_exponential_stream(seed)(1, 2 * n)[0]))
+    return _measure_pair(_normalized_pair(_exponential_stream(seed)(1, 2 * n)[0]))
 
 
-def _normalized_pair(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # mu and nu weights from 2n exponential variates along the last axis:
-    # mu normalizes the first n; nu the last n, floored at 1e-9 and renormalized
-    n = raw.shape[-1] // 2
-    mu_raw, nu_raw = raw[..., :n], raw[..., n:]
-    mu_w = mu_raw / mu_raw.sum(axis=-1, keepdims=True)
-    nu_w = np.maximum(nu_raw / nu_raw.sum(axis=-1, keepdims=True), _NU_FLOOR)
-    nu_w = np.maximum(nu_w / nu_w.sum(axis=-1, keepdims=True), _NU_FLOOR)
-    return mu_w, nu_w
+def _normalized_pair(raw: np.ndarray) -> np.ndarray:
+    # (..., 2, n) weights from 2n exponential variates along the last axis: row 0 (mu)
+    # normalizes the first n; row 1 (nu) the last n, floored at 1e-9 and renormalized
+    pair = raw.reshape(*raw.shape[:-1], 2, -1)
+    pair = pair / pair.sum(axis=-1, keepdims=True)
+    nu = np.maximum(pair[..., 1, :], _NU_FLOOR, out=pair[..., 1, :])
+    nu /= nu.sum(axis=-1, keepdims=True)
+    np.maximum(nu, _NU_FLOOR, out=nu)
+    return pair
 
 
-def _measure_pair(mu_w, nu_w) -> tuple[ProbabilityMeasure, ProbabilityMeasure]:
-    atoms = tuple(f"a{i + 1}" for i in range(len(mu_w)))
-    return ProbabilityMeasure(atoms, mu_w), ProbabilityMeasure(atoms, nu_w)
+def _measure_pair(pair: np.ndarray) -> tuple[ProbabilityMeasure, ProbabilityMeasure]:
+    atoms = tuple(f"a{i + 1}" for i in range(pair.shape[-1]))
+    return ProbabilityMeasure(atoms, pair[0]), ProbabilityMeasure(atoms, pair[1])
 
 
 def _exponential_stream(key: int) -> Callable[[int, int], np.ndarray]:
@@ -136,9 +135,7 @@ def _grid_blocks(f: Generator, resolution: int):
 
     The resolution is checked on the call, before the first block is drawn.
     """
-    resolution = int(resolution)
-    if resolution < 2:
-        raise DomainError("resolution must be at least 2")
+    resolution = _count("resolution", resolution, 2, math.isqrt(sys.maxsize))  # resolution**2 points
     grid = np.arange(1, resolution + 1) / (resolution + 1.0)
     weights = np.stack([grid, 1.0 - grid], axis=-1)  # (p, 1 - p), one row per grid point
     rows = max(1, _BLOCK_ATOMS // (2 * resolution))
@@ -185,33 +182,27 @@ def verify_bound(
     of one support size, never in trial order, with the same report bit
     for bit.
     """
-    trials = int(trials)
-    max_support = int(max_support)
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
-    if max_support < 2:
-        raise DomainError("max_support must be at least 2")
-    seed = int(seed)
-    if not 0 <= seed < _KEY_STRIDE:
+    trials = _count("trials", trials, 1, sys.maxsize)  # the length of the longest range
+    max_support = _count("max_support", max_support, 2, math.inf)
+    if not 0 <= (seed := int(seed)) < _KEY_STRIDE:
         raise DomainError("seed must be an unsigned integer below 2**64")
-    worst, worst_trial, worst_rows = -math.inf, trials, None
+    worst, worst_trial, worst_pair = -math.inf, trials, None
     for n in range(2, min(max_support, trials + 1) + 1):
         group = range(n - 2, trials, max_support - 1)
         size = max(1, _BLOCK_ATOMS // n)
         draw = _exponential_stream(seed + n * _KEY_STRIDE)
         for start in range(0, len(group), size):
             block = group[start:start + size]
-            mu_w, nu_w = _normalized_pair(draw(len(block), 2 * n))
-            _check_probability_weights(mu_w)
-            _check_probability_weights(nu_w)
-            violation = _violations(f, mu_w, nu_w)
+            pairs = _normalized_pair(draw(len(block), 2 * n))
+            _check_probability_weights(pairs)
+            violation = _violations(f, pairs[:, 0], pairs[:, 1])
             # NaN never wins, as under a running max with ">"
             i = int(np.argmax(np.where(np.isnan(violation), -math.inf, violation)))
             if violation[i] > worst or (violation[i] == worst and block[i] < worst_trial):
-                worst, worst_trial, worst_rows = float(violation[i]), block[i], (mu_w[i], nu_w[i])
-    if worst_rows is None:
+                worst, worst_trial, worst_pair = float(violation[i]), block[i], pairs[i]
+    if worst_pair is None:
         raise DomainError(f"generator {f.name!r}: every trial's violation was NaN or -inf")
-    return VerificationReport(f.name, trials, worst, _measure_pair(*worst_rows), seed)
+    return VerificationReport(f.name, trials, worst, _measure_pair(worst_pair), seed)
 
 
 def tightness_gap(

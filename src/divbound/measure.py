@@ -193,7 +193,7 @@ def _ordered_sum(values: np.ndarray):
 
 
 def _check_probability_weights(weights: np.ndarray) -> None:
-    """ProbabilityMeasure's weight checks, on one weight vector or on every row of a matrix."""
+    """ProbabilityMeasure's weight checks, on one weight vector or on each along the last axis."""
     if not np.all(np.isfinite(weights)):
         raise InvalidMeasure("weights must be finite")
     if np.any(weights < 0.0):

@@ -26,7 +26,6 @@ from divbound import (
     tv_distance,
 )
 from divbound.divergence import _divergence_rows
-from divbound.jointrange import _normalized_pair
 
 
 def atoms(n: int) -> tuple[str, ...]:
@@ -160,6 +159,15 @@ def tv_supremum(name: str, d: float):
         raise ArithmeticError(f"Newton's method for the KL supremum at d={d} did not converge")
 
 
+def normalized_pair(raw) -> tuple[np.ndarray, np.ndarray]:
+    """Reference pair weights from one row of 2n variates, each sum a numpy sum of a 1-D array:
+    mu is x / sum(x) over the first n values, and nu is max(max(y / sum(y), 1e-9) / sum, 1e-9)
+    over the last n, the inner sum taken of the floored weights."""
+    x, y = np.split(np.asarray(raw, dtype=np.float64), 2)
+    nu = np.maximum(y / y.sum(), 1e-9)
+    return x / x.sum(), np.maximum(nu / nu.sum(), 1e-9)
+
+
 def verify_bound_loop(f, trials: int, max_support: int, seed: int) -> VerificationReport:
     """Reference soundness sweep, in trial order and with no blocks: one fresh
     Philox(key=seed + n * 2**64) per support size n, one row of 2n variates per trial,
@@ -172,7 +180,7 @@ def verify_bound_loop(f, trials: int, max_support: int, seed: int) -> Verificati
         if n not in streams:
             streams[n] = np.random.Generator(np.random.Philox(key=seed + n * (1 << 64)))
         raw = streams[n].standard_exponential(2 * n, method="inv")
-        mu, nu = (ProbabilityMeasure(atoms(n), w) for w in _normalized_pair(raw))
+        mu, nu = (ProbabilityMeasure(atoms(n), w) for w in normalized_pair(raw))
         div = d_f(f, mu, nu).value
         if math.isinf(div):
             violation = 0.0

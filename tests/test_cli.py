@@ -262,6 +262,12 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--gen", "he", "--trials", "0")
         assert code == 3
 
+    def test_uncountable_trials_exit_3(self, capsys):
+        # a range of trials holds at most sys.maxsize of them
+        code, out, err = run(capsys, "verify", "--gen", "kl", "--trials", str(10**30))
+        assert (code, out) == (3, "")
+        assert err == f"error: trials must be at most {sys.maxsize}, got {10**30}\n"
+
     @pytest.mark.parametrize("max_support", ("8", "64"))
     @pytest.mark.parametrize("gen", ("he", "tv", "kl", "pe", "sh"))
     def test_golden_report(self, capsys, gen, max_support):
@@ -307,6 +313,12 @@ class TestScan:
             cells = line.split(",")
             assert len(cells) == 6
             assert float(cells[5]) >= -1e-9
+
+    def test_uncountable_resolution_exits_3(self, capsys):
+        # the grid's resolution**2 points must be countable
+        code, out, err = run(capsys, "scan", "--gen", "kl", "--resolution", str(10**30))
+        assert (code, out) == (3, "")
+        assert err == f"error: resolution must be at most {math.isqrt(sys.maxsize)}, got {10**30}\n"
 
     def test_no_negative_zero_cells(self, capsys):
         code, out, _ = run(capsys, "scan", "--gen", "sh", "--resolution", "9")

@@ -307,3 +307,17 @@ class TestSeparation:
         for g in (grid, tuple(grid), iter(grid), np.array(grid), (x for x in grid)):
             assert check_separation(builtin("KL"), 1.0, g)
 
+
+class TestDefaultGrid:
+    def test_points(self):
+        assert default_grid(1.0, 0.25).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert default_grid(0.0).tolist() == [0.0]
+        assert len(default_grid()) == 1001
+
+    @pytest.mark.parametrize("stop, step", [
+        (10.0, 0.0), (-1.0, 0.01), (10.0, math.nan), (math.inf, 0.01),
+        (math.nan, 0.01), (10.0, -0.01), (10.0, math.inf),
+    ])
+    def test_stop_and_step_outside_the_domain_raise(self, stop, step):
+        with pytest.raises(DomainError, match=r"^grid needs a finite stop >= 0 and step > 0, got "):
+            default_grid(stop, step)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 from array import array
 from itertools import chain
 
@@ -25,9 +26,10 @@ from divbound import (
     verify_bound,
 )
 from divbound import jointrange
-from divbound.jointrange import _exponential_stream, _normalized_pair
+from divbound.jointrange import _exponential_stream
 from helpers import (
     bits,
+    normalized_pair,
     pm,
     scan_binary_grid,
     scan_to_csv_cells,
@@ -75,9 +77,10 @@ class TestRandomPair:
     @pytest.mark.parametrize("seed", (0, (1 << 64) - 1, 1 << 64, (1 << 64) + 5, (1 << 128) - 1))
     @pytest.mark.parametrize("n", (2, 5, 64))
     def test_equals_fresh_philox_stream(self, seed, n):
-        # random_pair reads row 0 of the sweep's re-keyed rows; a fresh generator is the oracle
+        # random_pair reads row 0 of the sweep's re-keyed rows; a fresh generator and the
+        # normalization spelled out in helpers are the oracle
         fresh = np.random.Generator(np.random.Philox(key=seed))
-        want = _normalized_pair(fresh.standard_exponential(2 * n, method="inv"))
+        want = normalized_pair(fresh.standard_exponential(2 * n, method="inv"))
         for got, w in zip(random_pair(n, seed), want):
             assert got.weights.tobytes() == w.tobytes()
 
@@ -129,8 +132,13 @@ class TestScanBinary:
 
     def test_record_count_and_domain(self):
         assert len(scan_binary(builtin("PE"), 7)) == 49
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^resolution must be at least 2$"):
             scan_binary(builtin("PE"), 1)
+        # the grid's resolution**2 points must be countable
+        for resolution in (math.isqrt(sys.maxsize) + 1, 10**30):
+            with pytest.raises(DomainError, match=f"^resolution must be at most "
+                               f"{math.isqrt(sys.maxsize)}, got {resolution}$"):
+                scan_binary(builtin("PE"), resolution)
 
     def test_csv_output(self):
         buf = io.StringIO()
@@ -235,10 +243,15 @@ class TestVerifyBound:
                 assert report.to_json_dict(precision)["max_violation"] >= report.max_violation
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^trials must be at least 1$"):
             verify_bound(builtin("KL"), 0, 4, 1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^max_support must be at least 2$"):
             verify_bound(builtin("KL"), 10, 1, 1)
+        # a range of trials holds at most sys.maxsize of them
+        for trials in (sys.maxsize + 1, 10**30):
+            with pytest.raises(DomainError,
+                               match=f"^trials must be at most {sys.maxsize}, got {trials}$"):
+                verify_bound(builtin("KL"), trials, 4, 1)
 
     @pytest.mark.parametrize("seed", (-1, 2**64))
     def test_seed_outside_64_bits_is_a_domain_error(self, seed):
@@ -304,6 +317,16 @@ class TestBlockedSweep:
                    for seed in (0, 7, 20240917) for trials, max_support in SWEEP_CASES]
         reports = [r for r in reports if r is not None]
         assert reports and not any(math.isnan(r.max_violation) for r in reports)
+
+    def test_one_weight_check_per_block(self, monkeypatch):
+        # each block's (mu, nu) pairs are one (rows, 2, n) array, checked by one call
+        shapes, check = [], jointrange._check_probability_weights
+        monkeypatch.setattr(jointrange, "_check_probability_weights",
+                            lambda w: (shapes.append(w.shape), check(w)))
+        monkeypatch.setattr(jointrange, "_BLOCK_ATOMS", 8)
+        verify_bound(builtin("KL"), 20, 4, 7)
+        # sizes 2, 3 and 4 have 7, 7 and 6 trials, in blocks of at most 4, 2 and 2 pairs
+        assert shapes == [(4, 2, 2), (3, 2, 2)] + [(2, 2, 3)] * 3 + [(1, 2, 3)] + [(2, 2, 4)] * 3
 
     @pytest.mark.parametrize("seed", (0, (1 << 64) - 1))
     @pytest.mark.parametrize("width", (4, 5, 7, 128))
@@ -424,3 +447,5 @@ class TestTightnessGap:
             tightness_gap(builtin("KL"), -0.5, 100)
         with pytest.raises(DomainError):
             tightness_gap(builtin("KL"), math.inf, 100)
+        with pytest.raises(DomainError, match="^resolution must be at most"):
+            tightness_gap(builtin("KL"), 0.1, 10**30)

@@ -441,14 +441,18 @@ class TestProbabilityRows:
     @pytest.mark.parametrize("bad", [(0.5, math.nan), (0.5, math.inf), (1.5, -0.5), (0.5, 0.5 + 2e-9)])
     def test_bad_row_raises_like_construction(self, bad):
         rows = np.array([(0.25, 0.75), bad, (0.5, 0.5)])
-        with pytest.raises(InvalidMeasure) as from_rows:
-            _check_probability_weights(rows)
+        # (rows, 2, n), as the sweep checks a block of (mu, nu) pairs at once
+        pairs = np.array([[(0.25, 0.75), (0.5, 0.5)], [(0.5, 0.5), bad], [bad, (1.0, 0.0)]])
         with pytest.raises(InvalidMeasure) as from_measure:
             pm(*bad)
-        assert str(from_rows.value) == str(from_measure.value)
+        for weights in (rows, pairs):
+            with pytest.raises(InvalidMeasure) as from_rows:
+                _check_probability_weights(weights)
+            assert str(from_rows.value) == str(from_measure.value)
 
     def test_rows_within_tolerance_pass(self):
         _check_probability_weights(np.array([(0.25, 0.75), (0.5, 0.5 + 5e-10), (1.0, 0.0)]))
+        _check_probability_weights(np.array([[(0.25, 0.75), (0.5, 0.5 + 5e-10)]]))
 
 
 class TestAlignPerAtom:
