@@ -135,6 +135,7 @@ def rows(work: Path):
     yield "CLI verify --gen kl --trials 10000", cli("verify", "--gen", "kl", "--trials", "10000")
     yield "CLI verify --gen kl --trials 1000000", cli("verify", "--gen", "kl", "--trials", "1000000")
     yield "CLI scan --gen kl --resolution 100", cli("scan", "--gen", "kl", "--resolution", "100")
+    yield "CLI scan --gen kl --resolution 800", cli("scan", "--gen", "kl", "--resolution", "800")
     grid = np.geomspace(0.001, 1.5, 200).tolist()
     inverted = [(name, db.builtin(name)) for name in ("KL", "HE", "TV", "PE", "SH")]
     inverted += [(f"dual({name})", db.dual(db.builtin(name))) for name in ("PE", "KL", "HE")]

@@ -24,6 +24,7 @@ never tighter than ``invert``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -137,7 +138,7 @@ def check_monotone(f: Generator, grid_size: int) -> bool:
     """
     import numpy as np
 
-    grid_size = _count("grid_size", grid_size, 2, math.inf)
+    grid_size = _count("grid_size", grid_size, 2, sys.maxsize // 8)  # float64 values numpy can hold
     values = _phi_array(f, np.arange(grid_size) / (grid_size - 1.0))
     previous, current = values[:-1], values[1:]
     both_inf = np.isinf(previous) & np.isinf(current)

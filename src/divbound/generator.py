@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .errors import DomainError, UnknownGenerator
+from .errors import DomainError, UnknownGenerator, _count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -192,7 +193,10 @@ def default_grid(stop: float = 10.0, step: float = 0.01) -> np.ndarray:
 
     if not (0.0 <= stop < math.inf and 0.0 < step < math.inf):
         raise DomainError(f"grid needs a finite stop >= 0 and step > 0, got {stop!r} and {step!r}")
-    return np.linspace(0.0, stop, int(round(stop / step)) + 1)
+    if math.isinf(steps := stop / step):
+        raise DomainError(f"stop / step must be finite, got {stop!r} / {step!r}")
+    # numpy holds at most sys.maxsize bytes: steps + 1 float64 values
+    return np.linspace(0.0, stop, _count("stop / step", round(steps), 0, sys.maxsize // 8 - 1) + 1)
 
 
 def check_separation(f: Generator, a: float, grid: Iterable[float]) -> bool:

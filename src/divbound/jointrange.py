@@ -88,6 +88,7 @@ def random_pair(n: int, seed: int) -> tuple[ProbabilityMeasure, ProbabilityMeasu
     """
     if (n := int(n)) < 2:
         raise DomainError(f"support size must be at least 2, got {n}")
+    n = _count("n", n, 2, sys.maxsize // 16)  # numpy holds at most sys.maxsize bytes: 2n float64
     if not 0 <= (seed := int(seed)) < _KEY_STRIDE * _KEY_STRIDE:
         raise DomainError("seed must be an unsigned integer below 2**128")
     return _measure_pair(_normalized_pair(_exponential_stream(seed)(1, 2 * n)[0]))
@@ -131,7 +132,9 @@ def _violations(f: Generator, mu_w: np.ndarray, nu_w: np.ndarray) -> np.ndarray:
 
 def _grid_blocks(f: Generator, resolution: int):
     """(p, q, tv, divergence) of the Bernoulli pairs on an open resolution² grid, p-major, in
-    blocks of whole p rows of at most _BLOCK_ATOMS atoms per measure (or one row).
+    blocks of whole p rows of at most _BLOCK_ATOMS atoms per measure (or one row): in each
+    block, p holds each of its grid values ``resolution`` times running, and q the whole grid
+    once per p value.
 
     The resolution is checked on the call, before the first block is drawn.
     """
@@ -148,6 +151,21 @@ def _grid_blocks(f: Generator, resolution: int):
     return blocks()
 
 
+def _floored(f: Generator, blocks):
+    """(p, q, divergence, slack, tvs, floors, at) per grid block: ``tvs`` the block's distinct tv
+    values (distinct bit patterns, so -0.0 and 0.0 stay apart), ``floors`` their lower bounds and
+    ``at`` each row's index into both.  lower_bound is elementwise, so a floor is taken once per
+    distinct tv.
+    """
+    for p, q, tv, div in blocks:
+        keys, at = np.unique(tv.view(np.int64), return_inverse=True)
+        tvs = keys.view(np.float64)
+        floors = lower_bound(f, tvs)
+        with np.errstate(invalid="ignore"):
+            slack = np.where(np.isinf(div) & np.isinf(floors[at]), 0.0, div - floors[at])
+        yield p, q, div, slack, tvs, floors, at
+
+
 def scan_binary(f: Generator, resolution: int) -> list[ScanRecord]:
     """Sample both sides of the bound on a uniform open grid of Bernoulli pairs.
 
@@ -156,11 +174,9 @@ def scan_binary(f: Generator, resolution: int) -> list[ScanRecord]:
     slack between them.
     """
     records = []
-    for p, q, tv, div in _grid_blocks(f, resolution):
-        floor = lower_bound(f, tv)
-        with np.errstate(invalid="ignore"):
-            slack = np.where(np.isinf(div) & np.isinf(floor), 0.0, div - floor)
-        records += map(ScanRecord._make, zip(*(c.tolist() for c in (p, q, tv, div, floor, slack))))
+    for p, q, div, slack, tvs, floors, at in _floored(f, _grid_blocks(f, resolution)):
+        columns = (p, q, tvs[at], div, floors[at], slack)
+        records += map(ScanRecord._make, zip(*(c.tolist() for c in columns)))
     return records
 
 
@@ -231,3 +247,29 @@ def scan_to_csv(records: Iterable[ScanRecord], stream: IO[str], precision: int =
     template = ",".join([_nearest_format(precision)] * len(ScanRecord._fields)) + "\n"
     stream.write(",".join(ScanRecord._fields) + "\n")
     stream.writelines(template % record for record in records)
+
+
+def _write_scan(f: Generator, resolution: int, stream: IO[str], precision: int) -> None:
+    """``scan_to_csv(scan_binary(f, resolution), stream, precision)``, written one string per grid
+    block from the block's columns, with no records: p and q are formatted once per grid value,
+    tv and lower_bound once per distinct tv, divergence and slack once per row.  The resolution
+    is checked before the header is written.
+    """
+    cell = _nearest_format(precision)
+    blocks = _floored(f, _grid_blocks(f, resolution))
+    rest = f"%s,{cell},%s,{cell}\n"  # tv, divergence, lower_bound, slack
+    stream.write(",".join(ScanRecord._fields) + "\n")
+    q_cells = None
+    for p, q, div, slack, tvs, floors, at in blocks:
+        if q_cells is None:
+            q_cells = [cell % x + "," for x in q[:resolution].tolist()]
+        p_cells = []
+        for x in p[::resolution].tolist():
+            p_cells += [cell % x + ","] * resolution
+        tv_cells = np.array([cell % x for x in tvs.tolist()], dtype=object)[at].tolist()
+        floor_cells = np.array([cell % x for x in floors.tolist()], dtype=object)[at].tolist()
+        cells = [None] * (3 * len(p))
+        cells[0::3] = p_cells
+        cells[1::3] = q_cells * (len(p) // resolution)
+        cells[2::3] = map(rest.__mod__, zip(tv_cells, div.tolist(), floor_cells, slack.tolist()))
+        stream.write("".join(cells))

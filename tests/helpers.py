@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import struct
 
@@ -20,12 +21,14 @@ from divbound import (
     VerificationReport,
     d_f,
     format_extended,
+    hahn_jordan,
     invert,
     lower_bound,
     phi,
     tv_distance,
 )
 from divbound.divergence import _divergence_rows
+from divbound.extreal import encode_extended
 
 
 def atoms(n: int) -> tuple[str, ...]:
@@ -96,6 +99,21 @@ def scan_to_csv_cells(records, stream, precision: int = 9) -> None:
     for r in records:
         row = (r.p, r.q, r.tv, r.divergence, r.lower_bound, r.slack)
         stream.write(",".join(format_extended(x, precision) for x in row) + "\n")
+
+
+def decompose_json_dumps(nu: SignedMeasure, precision: int) -> str:
+    """Reference ``decompose --format json`` line: ``json.dumps`` of the whole dict, built from
+    ``to_json_dict`` and the sets' membership, one atom at a time."""
+    parts = hahn_jordan(nu)
+    totals = {"upper_total": parts.upper.total(), "lower_total": parts.lower.total()}
+    totals["total_variation"] = totals["upper_total"] + totals["lower_total"]
+    return json.dumps({
+        "positive_set": [a for a in nu.atoms if a in parts.positive_set],
+        "negative_set": [a for a in nu.atoms if a in parts.negative_set],
+        "upper": parts.upper.to_json_dict(),
+        "lower": parts.lower.to_json_dict(),
+        **{key: encode_extended(value, precision) for key, value in totals.items()},
+    }) + "\n"
 
 
 def invert_bisection(f, d: float) -> float:

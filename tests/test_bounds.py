@@ -5,6 +5,7 @@ import functools
 import gc
 import json
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -210,6 +211,10 @@ class TestCheckMonotone:
     def test_grid_size_domain(self):
         with pytest.raises(DomainError):
             check_monotone(builtin("KL"), 1)
+        # grid_size float64 values in one array: numpy holds at most sys.maxsize bytes
+        with pytest.raises(DomainError, match=f"^grid_size must be at most {sys.maxsize // 8}, "
+                           f"got {10**30}$"):
+            check_monotone(builtin("KL"), 10**30)
 
     def test_verdicts_match_scalar_loop(self):
         cliff = lambda x: np.where(x > 1.5, np.inf, (x - 1.0) ** 2)

@@ -1,18 +1,34 @@
 """Command-line contract: outputs, formats, and the 0/2/3 exit code scheme."""
 
+import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divbound import SignedMeasure, TvCertificate, builtin, hahn_jordan, lower_bound
+from divbound import (
+    SignedMeasure,
+    TvCertificate,
+    builtin,
+    hahn_jordan,
+    lower_bound,
+    read_signed_measure,
+    scan_binary,
+    scan_to_csv,
+)
+from divbound import cli
 from divbound.cli import build_parser, main
 from divbound.extreal import DOWN, MAX_PRECISION, format_extended
+from helpers import decompose_json_dumps
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -331,6 +347,36 @@ class TestScan:
         assert code == 0
         assert out == (FIXTURES / f"scan_{gen}.csv").read_text()
 
+    @pytest.mark.parametrize("resolution", (2, 3, 7, 41, 200))
+    @pytest.mark.parametrize("gen", ("he", "tv", "kl", "pe", "sh"))
+    def test_stdout_equals_scan_to_csv_of_the_records(self, capsys, gen, resolution):
+        records = scan_binary(builtin(gen), resolution)
+        for precision in range(1, 18):
+            expected = io.StringIO()
+            scan_to_csv(records, expected, precision)
+            code, out, _ = run(capsys, "scan", "--gen", gen, "--resolution", str(resolution),
+                               "--precision", str(precision))
+            assert (code, out) == (0, expected.getvalue()), precision
+
+    def test_traced_memory_does_not_grow_with_the_grid(self):
+        # the CSV is written block by block: 16x the rows, at most 2x the traced peak
+        class Sink(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        def peak(resolution):
+            with redirect_stdout(Sink()):
+                tracemalloc.start()
+                try:
+                    assert main(["scan", "--gen", "kl", "--resolution", str(resolution)]) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(2)  # imports and first-use caches outside the measured calls
+        small, large = peak(100), peak(400)
+        assert large <= 2 * small, (small, large)
+
 
 class TestDecompose:
     def test_mixed_fixture(self, capsys):
@@ -407,6 +453,26 @@ class TestDecompose:
         assert out.splitlines()[:2] == ["P: " + " ".join(data["positive_set"]),
                                         "N: " + " ".join(data["negative_set"])]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()),
+                max_size=4),
+        st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308)),
+                  st.floats(allow_nan=False, allow_infinity=False),
+                  st.integers(-10**30, 10**30)),
+    ), max_size=8, unique_by=lambda entry: entry[0]), st.integers(1, 17))
+    def test_json_equals_json_dumps_of_the_dict(self, tmp_path_factory, entries, precision):
+        # ids with quotes, backslashes, control and non-ASCII characters, and the empty id;
+        # weights as float and integer tokens
+        path = tmp_path_factory.mktemp("decompose") / "nu.json"
+        atoms = ", ".join(f'{{"id": {json.dumps(a)}, "w": {w!r}}}' for a, w in entries)
+        path.write_text(f'{{"atoms": [{atoms}]}}')
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["decompose", "--nu", str(path), "--precision", str(precision)])
+        assert (code, out.getvalue()) == (0, decompose_json_dumps(read_signed_measure(path),
+                                                                  precision))
+
     def test_overflowing_totals(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("id,w\na,1e308\nb,1e308\nc,-1e308\nd,-1e308\n")
@@ -423,6 +489,14 @@ class TestUsage:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_entrypoint_freezes_the_collector_once_main_returns(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert (exc.value.code, calls) == (3, ["main", "freeze"])
 
     def test_module_entry_point(self):
         result = subprocess.run(

@@ -1,6 +1,7 @@
 """Generators: the built-in table, the dual transform, and separation checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -321,3 +322,11 @@ class TestDefaultGrid:
     def test_stop_and_step_outside_the_domain_raise(self, stop, step):
         with pytest.raises(DomainError, match=r"^grid needs a finite stop >= 0 and step > 0, got "):
             default_grid(stop, step)
+
+    def test_more_points_than_numpy_can_hold_raise(self):
+        # stop / step + 1 float64 values in one array: numpy holds at most sys.maxsize bytes
+        with pytest.raises(DomainError, match=f"^stop / step must be at most {sys.maxsize // 8 - 1}, "
+                           f"got {10**19}$"):
+            default_grid(10.0, 1e-18)
+        with pytest.raises(DomainError, match=r"^stop / step must be finite, got 1e\+300 / 1e-300$"):
+            default_grid(1e300, 1e-300)

@@ -73,6 +73,10 @@ class TestRandomPair:
             random_pair(3, -1)
         with pytest.raises(DomainError):
             random_pair(3, 1 << 128)
+        # 2n float64 variates in one array: numpy holds at most sys.maxsize bytes
+        with pytest.raises(DomainError, match=f"^n must be at most {sys.maxsize // 16}, got "
+                           f"{10**30}$"):
+            random_pair(10**30, 0)
 
     @pytest.mark.parametrize("seed", (0, (1 << 64) - 1, 1 << 64, (1 << 64) + 5, (1 << 128) - 1))
     @pytest.mark.parametrize("n", (2, 5, 64))
@@ -200,6 +204,16 @@ class TestScanToCsv:
         scan_to_csv_cells(records, expected)
         scan_to_csv(records, actual)
         assert actual.getvalue() == expected.getvalue()
+
+    def test_signed_zero_tv_cells_stay_apart(self, monkeypatch):
+        # the CLI writer formats tv once per distinct value: -0.0 == 0.0, but "%g" prints "-0"
+        block = (np.array([0.25, 0.25]), np.array([0.25, 0.75]), np.array([-0.0, 0.0]),
+                 np.array([0.0, 0.5]))
+        monkeypatch.setattr(jointrange, "_grid_blocks", lambda f, resolution: iter([block]))
+        out = io.StringIO()
+        jointrange._write_scan(builtin("TV"), 2, out, 17)
+        assert out.getvalue().splitlines()[1:] == ["0.25,0.25,-0,0,0,0", "0.25,0.75,0,0.5,0,0.5"]
+        assert [bits(r.tv) for r in scan_binary(builtin("TV"), 2)] == [bits(-0.0), bits(0.0)]
 
     @pytest.mark.parametrize("precision", [0, -1])
     def test_precision_below_one_is_a_domain_error(self, precision):
@@ -405,6 +419,14 @@ class TestGridWalk:
         got, want = scan_binary(f, resolution), scan_binary_grid(f, resolution)
         assert all(type(r) is ScanRecord for r in got)
         assert cells(got) == cells(want)
+
+    @pytest.mark.parametrize("resolution", (2, 3, 100))
+    @pytest.mark.parametrize("f", GRID_GENERATORS, ids=lambda f: f.name)
+    def test_block_writer_equals_scan_to_csv(self, blocks, f, resolution):
+        expected, actual = io.StringIO(), io.StringIO()
+        scan_to_csv(scan_binary_grid(f, resolution), expected, 17)
+        jointrange._write_scan(f, resolution, actual, 17)
+        assert actual.getvalue() == expected.getvalue()
 
     @pytest.mark.parametrize("resolution", (2, 3, 100, 400))
     @pytest.mark.parametrize("f", GRID_GENERATORS, ids=lambda f: f.name)
