@@ -74,7 +74,8 @@ class TvCertificate:
     def __init__(self, divergence_name: str, divergence_value: float, tv_upper_bound: float,
                  method: str) -> None:
         # in place of the generated __init__, which sets each field through object.__setattr__
-        # and then calls __post_init__; dataclasses.replace and from_json_dict come here too
+        # and then calls __post_init__; dataclasses.replace and from_json_dict come here too,
+        # while invert's table path stores the same fields without this call
         if not divergence_value >= 0.0:
             raise DomainError(f"divergence values are nonnegative, got {divergence_value!r}")
         if not 0.0 <= tv_upper_bound <= 2.0:
@@ -105,6 +106,9 @@ class TvCertificate:
         except ValueError as exc:
             raise DomainError(f"certificate field is not a number: {exc}") from None
         return cls(str(name), value, tv_ub, str(method))
+
+
+_new = object.__new__  # a TvCertificate with no fields yet, for invert's table path
 
 
 def lower_bound(f: Generator, tv: float | np.ndarray) -> float | np.ndarray:
@@ -198,13 +202,18 @@ def _kl_inverse(d: float) -> float:
     # 3-fold at most; as phi'' = 2 / (1 - t**2), a step leaves about step**2 / ((1 - t**2) phi')
     w = (d * (1.0 - d * (1 / 6 + d * (1 / 90 + d * (5 / 1512 + d * 143 / 113400)))) if d < 0.26
          else 2.0 * d / (1.0 + math.sqrt(1.0 + d / 1.5)))
-    t = min(math.sqrt(w), 1.0 - 2.0**-53)
+    log1p, cap = math.log1p, 1.0 - 2.0**-53  # bound once for the loop; t stays at most cap < 1
+    t = math.sqrt(w)
+    if t > cap:
+        t = cap
     for _ in range(50):
-        up, down = math.log1p(t), math.log1p(-t)
+        up, down = log1p(t), log1p(-t)
         slope = up - down
-        phi = (1.0 + t) * up + (1.0 - t) * down if t >= 0.5 else t * slope + math.log1p(-t * t)
+        phi = (1.0 + t) * up + (1.0 - t) * down if t >= 0.5 else t * slope + log1p(-t * t)
         step = (phi - d) / slope
-        t = min(t - step, 1.0 - 2.0**-53)  # a start left of a root next to 1 may overshoot
+        t -= step
+        if t > cap:  # a start left of a root next to 1 may overshoot
+            t = cap
         if step * step <= 2.0**-53 * t * (1.0 - t) * (1.0 + t) * slope:
             break
     return t
@@ -286,12 +295,23 @@ def invert(f: Generator, d: float) -> TvCertificate:
     ``NonMonotoneGenerator`` on every call.
     """
     d = float(d)
-    if math.isnan(d) or d < -1e-12:
+    if not d >= -1e-12:  # nan included
         raise DomainError(f"divergence values are nonnegative, got {d!r}")
-    d = max(0.0, d)  # max keeps the first of equal values: -0.0 gives +0.0
+    if d <= 0.0:  # -0.0 and the values just below 0 give +0.0
+        d = 0.0
     row = f._bound_row
     if row is not None:
-        return TvCertificate(f.name, d, _certify(row, d), METHOD_NUMERIC)
+        # TvCertificate(f.name, d, tv, METHOD_NUMERIC) without the class call: of __init__'s
+        # checks, d >= 0 and the method hold by construction, and the bound's is kept here.
+        # The fields go in in __init__'s order, as item stores, faster than keyword update
+        tv = _certify(row, d)
+        if not 0.0 <= tv <= 2.0:
+            raise DomainError(f"tv_upper_bound must lie in [0, 2], got {tv!r}")
+        cert = _new(TvCertificate)
+        fields = cert.__dict__
+        fields["divergence_name"], fields["divergence_value"] = f.name, d
+        fields["tv_upper_bound"], fields["method"] = tv, METHOD_NUMERIC
+        return cert
     if not f._phi_monotone:
         raise NonMonotoneGenerator(
             f"bound function of generator {f.name!r} is not nondecreasing on [0, 1]"

@@ -181,10 +181,16 @@ def _cmd_decompose(args: argparse.Namespace, precision: int) -> int:
     totals = {"upper_total": parts.upper.total(), "lower_total": parts.lower.total()}
     totals["total_variation"] = totals["upper_total"] + totals["lower_total"]
     if args.format == "plain":
-        print("P:", " ".join(compress(nu.atoms, inside)))
-        print("N:", " ".join(compress(nu.atoms, map(not_, inside))))
-        for key, value in totals.items():
-            print(f"{key}:", format_extended(value, precision))
+        positive = list(compress(nu.atoms, inside))
+        negative = list(compress(nu.atoms, map(not_, inside)))
+        lines = [f"P: {' '.join(positive)}", f"N: {' '.join(negative)}"]
+        lines += [f"{key}: {format_extended(value, precision)}" for key, value in totals.items()]
+        try:  # one write, which encodes all of the text before any of it goes out
+            sys.stdout.write("\n".join(lines) + "\n")
+        except UnicodeEncodeError as exc:  # a lone surrogate, which a JSON escape can give
+            bad = exc.object[exc.start]
+            atom = next(a for a in positive + negative if bad in a)
+            raise InvalidMeasure(f"atom id {atom!r} cannot be written as {exc.encoding}") from None
         return 0
     # the text json.dumps gives the dict of the sets, both parts' to_json_dict and the totals,
     # written from the id and weight columns with the encoders json.dumps uses: ASCII-escaped

@@ -131,6 +131,22 @@ def invert_bisection(f, d: float) -> float:
     return 2.0 * hi
 
 
+def kl_inverse_reference(d: float) -> float:
+    """Reference KL inverse: Newton's method as first written, with ``min`` and ``math.log1p``."""
+    w = (d * (1.0 - d * (1 / 6 + d * (1 / 90 + d * (5 / 1512 + d * 143 / 113400)))) if d < 0.26
+         else 2.0 * d / (1.0 + math.sqrt(1.0 + d / 1.5)))
+    t = min(math.sqrt(w), 1.0 - 2.0**-53)
+    for _ in range(50):
+        up, down = math.log1p(t), math.log1p(-t)
+        slope = up - down
+        phi = (1.0 + t) * up + (1.0 - t) * down if t >= 0.5 else t * slope + math.log1p(-t * t)
+        step = (phi - d) / slope
+        t = min(t - step, 1.0 - 2.0**-53)
+        if step * step <= 2.0**-53 * t * (1.0 - t) * (1.0 + t) * slope:
+            break
+    return t
+
+
 # the bound function each built-in and each dual has: dual(HE) is HE, dual(TV) is TV, dual(KL)
 # is SH, dual(SH) is KL, and dual(PE) is Neyman's chi-square, phi = 2t**2 / (1 - t**2)
 BOUND_FUNCTION_OF = {"TV": "TV", "PE": "PE", "SH": "SH", "HE": "HE", "KL": "KL",

@@ -1,10 +1,12 @@
 """The bound function phi, its inversion, and the closed-form corollaries."""
 
+import copy
 import dataclasses
 import functools
 import gc
 import json
 import math
+import pickle
 import sys
 import weakref
 
@@ -40,6 +42,7 @@ from helpers import (
     bits,
     check_monotone_loop,
     invert_bisection,
+    kl_inverse_reference,
     ordered_sum,
     pm,
     probability_pairs,
@@ -283,9 +286,14 @@ class TestInvert:
             invert(builtin("KL"), -1.0)
         with pytest.raises(DomainError):
             invert(builtin("KL"), math.nan)
+        for d in (-math.inf, math.nextafter(-1e-12, -1.0)):
+            with pytest.raises(DomainError) as raised:
+                invert(builtin("KL"), d)
+            assert str(raised.value) == f"divergence values are nonnegative, got {d!r}"
 
     def test_slightly_negative_clamps(self):
-        assert invert(builtin("KL"), -1e-13).divergence_value == 0.0
+        for d in (-1e-13, -1e-12):
+            assert bits(invert(builtin("KL"), d).divergence_value) == bits(0.0), d
 
     def test_negative_zero_becomes_positive_zero(self):
         chi = Generator("chi2", lambda x: (x - 1.0) ** 2, 1.0, 0.0)
@@ -345,6 +353,12 @@ class TestInvert:
 CERTIFY_GRID = [3.0 * k / 600 for k in range(601)]
 # every generator with a row in the table of bound functions: the built-ins and their duals
 TABLE_NAMES = BUILTIN_NAMES + tuple(f"{name}*" for name in BUILTIN_NAMES)
+
+
+def _fields_bits(cert):
+    """A certificate's fields, its floats as IEEE bytes so that -0.0 and 0.0 differ."""
+    return (cert.divergence_name, bits(cert.divergence_value), bits(cert.tv_upper_bound),
+            cert.method)
 
 
 def _table_generator(name):
@@ -458,6 +472,48 @@ class TestSeededInversion:
                 invert(f, d)
                 assert len(phi_t_calls) <= 2, (name, d, len(phi_t_calls))
         assert phi_calls == []
+
+    def test_kl_inverse_bit_identical_to_the_reference(self):
+        rng = np.random.default_rng(53)
+        ds = (2.0 ** rng.uniform(-900.0, math.log2(bounds._KL.phi1), 2000)).tolist()
+        for d in ds + CERTIFY_GRID[1:]:
+            assert bits(bounds._kl_inverse(d)) == bits(kl_inverse_reference(d)), d
+
+    def test_table_certificates_are_the_certified_bound(self):
+        # invert's table path builds its certificate without the class call; it must hold
+        # what __init__ builds from the clamped value and the row's certified bound
+        rng = np.random.default_rng(54)
+        for name in TABLE_NAMES:
+            f = _table_generator(name)
+            row = bounds._table_row(f)
+            top = math.log2(min(row.phi1, 2.0**10))
+            ds = (2.0 ** rng.uniform(-900.0, top, 2000)).tolist() + CERTIFY_GRID
+            ds += (-1e-12 * rng.uniform(0.0, 1.0, 50)).tolist() + [-1e-12, -5e-324, -0.0]
+            for d in ds:
+                clamped = max(0.0, float(d))
+                same = TvCertificate(f.name, clamped, bounds._certify(row, clamped),
+                                     "numeric-inversion")
+                assert _fields_bits(invert(f, d)) == _fields_bits(same), (name, d)
+
+    @pytest.mark.parametrize("attribute, patched, changed", (
+        ("inverse", lambda original: lambda d: original(d) + 1e-4,
+         ("TV", "PE", "SH", "HE", "KL", "PE*")),
+        # every check then fails, and TV's fallback, d itself, is its exact bound
+        ("phi_t", lambda original: lambda t: 0.5 * original(t), ("PE", "SH", "HE", "KL", "PE*")),
+    ), ids=["inverse", "phi_t"])
+    def test_patched_row_attributes_change_certificates(self, monkeypatch, attribute, patched,
+                                                        changed):
+        # the tests above that patch a row's inverse or phi_t exercise invert only if it
+        # reads them on every call
+        differ = []
+        for name in ("TV", "PE", "SH", "HE", "KL", "PE*"):
+            f = _table_generator(name)
+            row = bounds._table_row(f)
+            before = [invert(f, d) for d in CERTIFY_GRID[1::5]]
+            monkeypatch.setattr(row, attribute, patched(getattr(row, attribute)))
+            if [invert(f, d) for d in CERTIFY_GRID[1::5]] != before:
+                differ.append(name)
+        assert tuple(differ) == changed
 
     def test_custom_generators_bit_identical_to_plain_bisection(self):
         for f in _custom_generators():
@@ -646,12 +702,25 @@ class TestCertificate:
             "divergence_name", "divergence_value", "tv_upper_bound", "method"]
 
     def test_invert_result_is_the_keyword_built_certificate(self):
+        # the table path builds its certificate without the class call; it must be the same
+        # object, down to the order of its fields, as __init__ builds from keywords
+        ds = CERTIFY_GRID[::7] + [0.0, -0.0, 5e-324, 2.0**-900, math.inf]
         for name in TABLE_NAMES:
-            cert = invert(_table_generator(name), 0.1)
-            same = TvCertificate(divergence_name=name, divergence_value=0.1,
-                                 tv_upper_bound=cert.tv_upper_bound, method="numeric-inversion")
-            assert cert == same and hash(cert) == hash(same) and repr(cert) == repr(same)
-            assert dataclasses.replace(cert) == cert
+            for d in ds:
+                cert = invert(_table_generator(name), d)
+                same = TvCertificate(divergence_name=name, divergence_value=max(0.0, d),
+                                     tv_upper_bound=cert.tv_upper_bound, method="numeric-inversion")
+                assert cert == same and hash(cert) == hash(same) and repr(cert) == repr(same)
+                assert list(vars(cert).items()) == list(vars(same).items())
+                assert dataclasses.fields(cert) == dataclasses.fields(same)
+                assert dataclasses.replace(cert) == cert
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    cert.tv_upper_bound = 1.0
+                assert pickle.dumps(cert) == pickle.dumps(same)
+                for copied in (pickle.loads(pickle.dumps(cert)), copy.deepcopy(cert)):
+                    assert copied == cert and _fields_bits(copied) == _fields_bits(cert)
+                for precision in (None, *range(1, 18)):
+                    assert cert.to_json_dict(precision) == same.to_json_dict(precision)
         assert repr(TvCertificate("KL", 0.1, 0.5, "numeric-inversion")) == (
             "TvCertificate(divergence_name='KL', divergence_value=0.1, tv_upper_bound=0.5, "
             "method='numeric-inversion')")

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -31,6 +32,7 @@ from divbound.extreal import DOWN, MAX_PRECISION, format_extended
 from helpers import decompose_json_dumps
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 HALF = str(FIXTURES / "bernoulli_half.json")
 HALF_CSV = str(FIXTURES / "bernoulli_half.csv")
@@ -472,6 +474,31 @@ class TestDecompose:
             code = main(["decompose", "--nu", str(path), "--precision", str(precision)])
         assert (code, out.getvalue()) == (0, decompose_json_dumps(read_signed_measure(path),
                                                                   precision))
+
+    @pytest.mark.parametrize("atoms, bad", (
+        ('{"id": "\\ud800", "w": 1.0}, {"id": "b", "w": -0.5}', "'\\ud800'"),
+        ('{"id": "a", "w": 1.0}, {"id": "x\\udfff", "w": -0.5}', "'x\\udfff'"),
+    ), ids=["in-P", "in-N"])
+    def test_lone_surrogate_id(self, tmp_path, atoms, bad):
+        # a JSON escape gives an id with a lone surrogate, which no UTF-8 text holds: plain
+        # output is refused whole, JSON output escapes it.  Run as a process, since pytest's
+        # capture encodes stdout otherwise
+        path = tmp_path / "nu.json"
+        path.write_text(f'{{"atoms": [{atoms}]}}')
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"}
+
+        def decompose(fmt):
+            return subprocess.run([sys.executable, "-m", "divbound", "decompose", "--nu",
+                                   str(path), "--format", fmt], env=env, capture_output=True,
+                                  timeout=120)
+
+        plain = decompose("plain")
+        assert (plain.returncode, plain.stdout) == (2, b"")
+        assert plain.stderr == f"error: atom id {bad} cannot be written as utf-8\n".encode()
+        as_json = decompose("json")
+        assert (as_json.returncode, as_json.stderr) == (0, b"")
+        assert as_json.stdout == decompose_json_dumps(read_signed_measure(path), 9).encode()
+        assert bad[1:-1].encode() in as_json.stdout
 
     def test_overflowing_totals(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
