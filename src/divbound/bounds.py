@@ -57,7 +57,7 @@ def _phi_array(f: Generator, t: np.ndarray) -> np.ndarray:
     return f.eval_array(1.0 + t) + f.eval_array(1.0 - t)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TvCertificate:
     """A certified upper bound on total variation implied by a divergence value.
 
@@ -71,19 +71,13 @@ class TvCertificate:
     tv_upper_bound: float
     method: str
 
-    def __init__(self, divergence_name: str, divergence_value: float, tv_upper_bound: float,
-                 method: str) -> None:
-        # in place of the generated __init__, which sets each field through object.__setattr__
-        # and then calls __post_init__; dataclasses.replace and from_json_dict come here too,
-        # while invert's table path stores the same fields without this call
-        if not divergence_value >= 0.0:
-            raise DomainError(f"divergence values are nonnegative, got {divergence_value!r}")
-        if not 0.0 <= tv_upper_bound <= 2.0:
-            raise DomainError(f"tv_upper_bound must lie in [0, 2], got {tv_upper_bound!r}")
-        if method not in _METHODS:
-            raise DomainError(f"unknown certificate method {method!r}")
-        self.__dict__.update(divergence_name=divergence_name, divergence_value=divergence_value,
-                             tv_upper_bound=tv_upper_bound, method=method)
+    def __post_init__(self) -> None:
+        if not self.divergence_value >= 0.0:
+            raise DomainError(f"divergence values are nonnegative, got {self.divergence_value!r}")
+        if not 0.0 <= self.tv_upper_bound <= 2.0:
+            raise DomainError(f"tv_upper_bound must lie in [0, 2], got {self.tv_upper_bound!r}")
+        if self.method not in _METHODS:
+            raise DomainError(f"unknown certificate method {self.method!r}")
 
     def to_json_dict(self, precision: int | None = None) -> dict:
         """JSON fields; with a precision the bound prints rounded up."""
@@ -282,11 +276,12 @@ def invert(f: Generator, d: float) -> TvCertificate:
 
     Returns the supremum of {tv in [0, 2] : phi(tv/2) <= d}, rounded up so
     the certificate never undershoots it: 2 for d >= phi(1), +inf
-    included, and 0 for d = 0.  A built-in or a dual takes its row of the
-    table: the closed-form inverse (Newton's method for KL), raised by the
-    row's ULPs and confirmed by one evaluation of phi lowered by its error
-    bound, lies a few ULPs above the supremum, on it for TV, and at the
-    least float above it for PE.
+    included, and 0 for d in [-1e-12, 0], as roundoff of 0; NaN and d
+    below -1e-12 raise ``DomainError``, as in the closed forms.  A built-in
+    or a dual takes its row of the table: the closed-form inverse (Newton's
+    method for KL), raised by the row's ULPs and confirmed by one
+    evaluation of phi lowered by its error bound, lies a few ULPs above the
+    supremum, on it for TV, and at the least float above it for PE.
 
     Custom generators bisect to bracket width 1e-10 on the TV scale and
     report the upper end.  They are grid-checked for monotonicity first,
@@ -301,9 +296,9 @@ def invert(f: Generator, d: float) -> TvCertificate:
         d = 0.0
     row = f._bound_row
     if row is not None:
-        # TvCertificate(f.name, d, tv, METHOD_NUMERIC) without the class call: of __init__'s
+        # TvCertificate(f.name, d, tv, METHOD_NUMERIC) without the class call: of __post_init__'s
         # checks, d >= 0 and the method hold by construction, and the bound's is kept here.
-        # The fields go in in __init__'s order, as item stores, faster than keyword update
+        # The fields go in in the dataclass's field order, as item stores
         tv = _certify(row, d)
         if not 0.0 <= tv <= 2.0:
             raise DomainError(f"tv_upper_bound must lie in [0, 2], got {tv!r}")
@@ -328,6 +323,13 @@ def invert(f: Generator, d: float) -> TvCertificate:
     return TvCertificate(f.name, d, 2.0 * hi, METHOD_NUMERIC)
 
 
+def _divergence(d: float) -> float:
+    """float(d) by invert's rule: NaN and values below -1e-12 raise, the rest up to 0 give +0.0."""
+    if not (d := float(d)) >= -1e-12:  # nan included
+        raise DomainError(f"divergence values are nonnegative, got {d!r}")
+    return d if d > 0.0 else 0.0
+
+
 def bretagnolle_huber(sh: float) -> tuple[float, float]:
     """Bretagnolle-Huber bounds on total variation from a reverse-KL value.
 
@@ -336,17 +338,15 @@ def bretagnolle_huber(sh: float) -> tuple[float, float]:
     raised by one ULP.  Both are capped at 2, never below the exact
     values, and tight <= loose always.
     """
-    sh = float(sh)
-    if math.isnan(sh) or sh < 0.0:
-        raise DomainError(f"divergence values are nonnegative, got {sh!r}")
+    sh = _divergence(sh)
     loose = min(math.nextafter(2.0 * math.sqrt(sh), 2.0), 2.0) if sh else 0.0
     return min(_certify(_ROWS["SH"], sh), loose), loose
 
 
 def bretagnolle_huber_certificate(sh: float) -> TvCertificate:
     """The tight Bretagnolle-Huber bound packaged as a certificate."""
-    tight, _ = bretagnolle_huber(sh)
-    return TvCertificate("SH", float(sh) + 0.0, tight, METHOD_BRETAGNOLLE_HUBER)  # -0.0 -> +0.0
+    tight, _ = bretagnolle_huber(sh := _divergence(sh))
+    return TvCertificate("SH", sh, tight, METHOD_BRETAGNOLLE_HUBER)
 
 
 def hellinger_bound(he: float) -> float:
@@ -355,13 +355,11 @@ def hellinger_bound(he: float) -> float:
     Derived by discarding the f(1 + t) term of phi for the Hellinger
     generator, so it is valid but never tighter than ``invert``.
     """
-    he = float(he)
-    if math.isnan(he) or he < 0.0:
-        raise DomainError(f"divergence values are nonnegative, got {he!r}")
+    he = _divergence(he)
     return 2.0 - 2.0 * (1.0 - math.sqrt(he)) ** 2 if he < 1.0 else 2.0
 
 
 def hellinger_certificate(he: float) -> TvCertificate:
     """The closed-form Hellinger bound packaged as a certificate."""
-    he = float(he) + 0.0  # -0.0 -> +0.0
+    he = _divergence(he)
     return TvCertificate("HE", he, hellinger_bound(he), METHOD_HELLINGER)

@@ -184,6 +184,9 @@ def _cmd_decompose(args: argparse.Namespace, precision: int) -> int:
         positive = list(compress(nu.atoms, inside))
         negative = list(compress(nu.atoms, map(not_, inside)))
         lines = [f"P: {' '.join(positive)}", f"N: {' '.join(negative)}"]
+        if lines[0].split()[1:] != positive or lines[1].split()[1:] != negative:
+            atom = next(a for a in positive + negative if not a or any(map(str.isspace, a)))
+            raise InvalidMeasure(f"atom id {atom!r} cannot be written as space-separated text")
         lines += [f"{key}: {format_extended(value, precision)}" for key, value in totals.items()]
         try:  # one write, which encodes all of the text before any of it goes out
             sys.stdout.write("\n".join(lines) + "\n")

@@ -86,8 +86,6 @@ def random_pair(n: int, seed: int) -> tuple[ProbabilityMeasure, ProbabilityMeasu
     renormalized, guaranteeing strictly positive weights and hence
     absolute continuity of the first measure with respect to it.
     """
-    if (n := int(n)) < 2:
-        raise DomainError(f"support size must be at least 2, got {n}")
     n = _count("n", n, 2, sys.maxsize // 16)  # numpy holds at most sys.maxsize bytes: 2n float64
     if not 0 <= (seed := int(seed)) < _KEY_STRIDE * _KEY_STRIDE:
         raise DomainError("seed must be an unsigned integer below 2**128")

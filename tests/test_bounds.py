@@ -291,6 +291,27 @@ class TestInvert:
                 invert(builtin("KL"), d)
             assert str(raised.value) == f"divergence values are nonnegative, got {d!r}"
 
+    @pytest.mark.parametrize("d", (-1e-12, -1.0000000000000002e-12, -5e-324, -0.0, 0.0, 5e-324,
+                                   math.inf, -math.inf, math.nan, -0.1))
+    def test_closed_forms_take_the_same_divergence_values(self, d):
+        # one rule for invert and the four closed forms: NaN and values below -1e-12 raise with
+        # one message, and the rest of [-1e-12, 0], -0.0 included, counts as +0.0
+        calls = (functools.partial(invert, builtin("SH")), functools.partial(invert, builtin("HE")),
+                 bretagnolle_huber, bretagnolle_huber_certificate, hellinger_bound,
+                 hellinger_certificate)
+        if not d >= -1e-12:
+            for call in calls:
+                with pytest.raises(DomainError) as raised:
+                    call(d)
+                assert str(raised.value) == f"divergence values are nonnegative, got {d!r}"
+            return
+        clamped = d if d > 0.0 else 0.0
+        for call in calls:
+            got = call(d)
+            assert repr(got) == repr(call(clamped)), call
+            if isinstance(got, TvCertificate):
+                assert bits(got.divergence_value) == bits(clamped), call
+
     def test_slightly_negative_clamps(self):
         for d in (-1e-13, -1e-12):
             assert bits(invert(builtin("KL"), d).divergence_value) == bits(0.0), d

@@ -47,6 +47,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def decompose_process(path, fmt):
+    """``divbound decompose`` in a process of its own, as pytest's capture encodes stdout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"}
+    return subprocess.run([sys.executable, "-m", "divbound", "decompose", "--nu", str(path),
+                           "--format", fmt], env=env, capture_output=True, timeout=120)
+
+
 class TestCompute:
     def test_kl_fixture(self, capsys):
         code, out, _ = run(capsys, "compute", "--gen", "kl", "--mu", HALF, "--nu", QUARTER)
@@ -481,24 +488,38 @@ class TestDecompose:
     ), ids=["in-P", "in-N"])
     def test_lone_surrogate_id(self, tmp_path, atoms, bad):
         # a JSON escape gives an id with a lone surrogate, which no UTF-8 text holds: plain
-        # output is refused whole, JSON output escapes it.  Run as a process, since pytest's
-        # capture encodes stdout otherwise
+        # output is refused whole, JSON output escapes it
         path = tmp_path / "nu.json"
         path.write_text(f'{{"atoms": [{atoms}]}}')
-        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"}
-
-        def decompose(fmt):
-            return subprocess.run([sys.executable, "-m", "divbound", "decompose", "--nu",
-                                   str(path), "--format", fmt], env=env, capture_output=True,
-                                  timeout=120)
-
-        plain = decompose("plain")
+        plain = decompose_process(path, "plain")
         assert (plain.returncode, plain.stdout) == (2, b"")
         assert plain.stderr == f"error: atom id {bad} cannot be written as utf-8\n".encode()
-        as_json = decompose("json")
+        as_json = decompose_process(path, "json")
         assert (as_json.returncode, as_json.stderr) == (0, b"")
         assert as_json.stdout == decompose_json_dumps(read_signed_measure(path), 9).encode()
         assert bad[1:-1].encode() in as_json.stdout
+
+    @pytest.mark.parametrize("atoms, bad", (
+        ('{"id": "a\\nN: fake", "w": 1.0}, {"id": "b c", "w": -0.5}, {"id": "d", "w": 0.25}',
+         "'a\\nN: fake'"),
+        ('{"id": "a", "w": 1.0}, {"id": "b c", "w": -0.5}', "'b c'"),
+        ('{"id": "", "w": 1.0}, {"id": "b", "w": -0.5}', "''"),
+        ('{"id": "a", "w": 1.0}, {"id": "\\t", "w": -0.5}', "'\\t'"),
+        ('{"id": " ", "w": 1.0}, {"id": "b", "w": -0.5}', "' '"),
+        ('{"id": "a", "w": 1.0}, {"id": "x\\u2028y", "w": -0.5}', "'x\\u2028y'"),
+    ), ids=["line-in-P", "space-in-N", "empty", "tab", "space", "line-separator"])
+    def test_id_that_plain_text_cannot_separate(self, tmp_path, atoms, bad):
+        # plain output separates ids with spaces: an id that is empty or holds whitespace would
+        # forge ids or lines, so it is refused whole; JSON output is unchanged
+        path = tmp_path / "nu.json"
+        path.write_text(f'{{"atoms": [{atoms}]}}')
+        plain = decompose_process(path, "plain")
+        assert (plain.returncode, plain.stdout) == (2, b"")
+        assert plain.stderr == (f"error: atom id {bad} cannot be written as space-separated "
+                                "text\n").encode()
+        as_json = decompose_process(path, "json")
+        assert (as_json.returncode, as_json.stderr) == (0, b"")
+        assert as_json.stdout == decompose_json_dumps(read_signed_measure(path), 9).encode()
 
     def test_overflowing_totals(self, capsys, tmp_path):
         path = tmp_path / "big.csv"

@@ -67,8 +67,9 @@ class TestRandomPair:
             assert np.all(nu.weights >= 1e-9)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            random_pair(1, 0)
+        for n in (1, 0, -3):
+            with pytest.raises(DomainError, match="^n must be at least 2$"):
+                random_pair(n, 0)
         with pytest.raises(DomainError):
             random_pair(3, -1)
         with pytest.raises(DomainError):
