@@ -181,19 +181,19 @@ def _cmd_decompose(args: argparse.Namespace, precision: int) -> int:
     totals = {"upper_total": parts.upper.total(), "lower_total": parts.lower.total()}
     totals["total_variation"] = totals["upper_total"] + totals["lower_total"]
     if args.format == "plain":
-        positive = list(compress(nu.atoms, inside))
-        negative = list(compress(nu.atoms, map(not_, inside)))
-        lines = [f"P: {' '.join(positive)}", f"N: {' '.join(negative)}"]
-        if lines[0].split()[1:] != positive or lines[1].split()[1:] != negative:
-            atom = next(a for a in positive + negative if not a or any(map(str.isspace, a)))
-            raise InvalidMeasure(f"atom id {atom!r} cannot be written as space-separated text")
-        lines += [f"{key}: {format_extended(value, precision)}" for key, value in totals.items()]
-        try:  # one write, which encodes all of the text before any of it goes out
-            sys.stdout.write("\n".join(lines) + "\n")
-        except UnicodeEncodeError as exc:  # a lone surrogate, which a JSON escape can give
-            bad = exc.object[exc.start]
-            atom = next(a for a in positive + negative if bad in a)
+        text = " ".join(nu.atoms)  # writable when stdout can encode it and the ids are
+        try:  # nonempty, printable and spaceless; a JSON escape can give a lone surrogate
+            text.encode(sys.stdout.encoding or "utf-8", sys.stdout.errors or "strict")
+        except UnicodeEncodeError as exc:
+            atom = next(a for a in nu.atoms if exc.object[exc.start] in a)
             raise InvalidMeasure(f"atom id {atom!r} cannot be written as {exc.encoding}") from None
+        if "" in nu.atoms or text.count(" ") > max(len(nu.atoms) - 1, 0) or not text.isprintable():
+            atom = next(a for a in nu.atoms if not a or " " in a or not a.isprintable())
+            raise InvalidMeasure(f"atom id {atom!r} cannot be written as space-separated text")
+        lines = [f"P: {' '.join(compress(nu.atoms, inside))}",
+                 f"N: {' '.join(compress(nu.atoms, map(not_, inside)))}",
+                 *(f"{key}: {format_extended(value, precision)}" for key, value in totals.items())]
+        sys.stdout.write("\n".join(lines) + "\n")
         return 0
     # the text json.dumps gives the dict of the sets, both parts' to_json_dict and the totals,
     # written from the id and weight columns with the encoders json.dumps uses: ASCII-escaped

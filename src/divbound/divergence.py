@@ -4,10 +4,10 @@ The divergence of mu from nu under a generator f is
 sum_i nu_i * f(mu_i / nu_i) over atoms with nu_i > 0, with the
 conventions 0 * f(0/0) := 0 (atoms where both measures vanish carry no
 mass against nu) and f(0) := the generator's stored limit at 0+.  The
-result lives in [0, inf]; it is +inf exactly when some atom contributes
-an infinite term with positive nu-weight.  Pairs violating absolute
-continuity (mu_i > 0 where nu_i = 0) raise instead of being assigned a
-value.
+result lives in [0, inf]; it is +inf when a term is, and also when a
+ratio mu_i / nu_i overflows past the largest float (numpy then warns), so a
+finite divergence can read +inf.  Pairs violating absolute continuity
+(mu_i > 0 where nu_i = 0) raise instead of being assigned a value.
 
 Terms are added with compensated (exact) summation, so test tolerances
 can be taken at the 1e-12 scale.

@@ -94,11 +94,19 @@ def check_separation_loop(f, a: float, grid) -> bool:
 
 
 def scan_to_csv_cells(records, stream, precision: int = 9) -> None:
-    """Reference scan CSV writer: one format_extended call per cell, rounded to nearest."""
+    """Reference scan CSV writer: format_extended of each cell, rounded to nearest.
+
+    format_extended is pure, so it runs once per distinct (float bits, precision) of the cells,
+    the precision being one per call: a value that repeats, as every p, q and tv of a grid
+    does, is formatted once, and the bits keep -0.0 and 0.0 apart.
+    """
+    rows = [(r.p, r.q, r.tv, r.divergence, r.lower_bound, r.slack) for r in records]
+    keys = np.array(rows, dtype=np.float64).reshape(-1, 6).view(np.int64)
+    distinct, where = np.unique(keys, return_inverse=True)
+    texts = np.array([format_extended(x, precision) for x in distinct.view(np.float64).tolist()],
+                     dtype=object)
     stream.write("p,q,tv,divergence,lower_bound,slack\n")
-    for r in records:
-        row = (r.p, r.q, r.tv, r.divergence, r.lower_bound, r.slack)
-        stream.write(",".join(format_extended(x, precision) for x in row) + "\n")
+    stream.write("".join(",".join(row) + "\n" for row in texts[where].reshape(-1, 6).tolist()))
 
 
 def decompose_json_dumps(nu: SignedMeasure, precision: int) -> str:

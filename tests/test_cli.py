@@ -507,10 +507,16 @@ class TestDecompose:
         ('{"id": "a", "w": 1.0}, {"id": "\\t", "w": -0.5}', "'\\t'"),
         ('{"id": " ", "w": 1.0}, {"id": "b", "w": -0.5}', "' '"),
         ('{"id": "a", "w": 1.0}, {"id": "x\\u2028y", "w": -0.5}', "'x\\u2028y'"),
-    ), ids=["line-in-P", "space-in-N", "empty", "tab", "space", "line-separator"])
+        ('{"id": "\\u200b", "w": 1.0}, {"id": "b", "w": -0.5}', "'\\u200b'"),
+        ('{"id": "a", "w": 1.0}, {"id": "a\\u001b[1A\\u001b[2K", "w": -0.5}',
+         "'a\\x1b[1A\\x1b[2K'"),
+        ('{"id": "a\\u202eb", "w": 1.0}, {"id": "b", "w": -0.5}', "'a\\u202eb'"),
+    ), ids=["line-in-P", "space-in-N", "empty", "tab", "space", "line-separator",
+            "zero-width-space", "escape-sequences", "bidi-override"])
     def test_id_that_plain_text_cannot_separate(self, tmp_path, atoms, bad):
-        # plain output separates ids with spaces: an id that is empty or holds whitespace would
-        # forge ids or lines, so it is refused whole; JSON output is unchanged
+        # plain output separates ids with spaces and lines: an id that is empty, holds a space
+        # or any character str.isprintable refuses would forge ids or lines, or hide or move
+        # text on a terminal, so it is refused whole; JSON output is unchanged
         path = tmp_path / "nu.json"
         path.write_text(f'{{"atoms": [{atoms}]}}')
         plain = decompose_process(path, "plain")
@@ -520,6 +526,16 @@ class TestDecompose:
         as_json = decompose_process(path, "json")
         assert (as_json.returncode, as_json.stderr) == (0, b"")
         assert as_json.stdout == decompose_json_dumps(read_signed_measure(path), 9).encode()
+
+    def test_id_that_stdout_encoding_cannot_hold(self, tmp_path):
+        # a printable id that stdout's encoding cannot hold is refused with that encoding's name
+        path = tmp_path / "nu.json"
+        path.write_text('{"atoms": [{"id": "\\u00e9", "w": 1.0}, {"id": "b", "w": -0.5}]}')
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "ascii"}
+        plain = subprocess.run([sys.executable, "-m", "divbound", "decompose", "--nu", str(path),
+                                "--format", "plain"], env=env, capture_output=True, timeout=120)
+        assert (plain.returncode, plain.stdout) == (2, b"")
+        assert plain.stderr == b"error: atom id '\\xe9' cannot be written as ascii\n"
 
     def test_overflowing_totals(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
@@ -549,7 +565,7 @@ class TestUsage:
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "divbound", "invert", "--gen", "pe", "--d", "0.5"],
-            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["tv_upper_bound"] == 1.0
