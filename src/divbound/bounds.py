@@ -289,11 +289,7 @@ def invert(f: Generator, d: float) -> TvCertificate:
     sub-level set meaningless; one that fails raises
     ``NonMonotoneGenerator`` on every call.
     """
-    d = float(d)
-    if not d >= -1e-12:  # nan included
-        raise DomainError(f"divergence values are nonnegative, got {d!r}")
-    if d <= 0.0:  # -0.0 and the values just below 0 give +0.0
-        d = 0.0
+    d = _divergence(d)
     row = f._bound_row
     if row is not None:
         # TvCertificate(f.name, d, tv, METHOD_NUMERIC) without the class call: of __post_init__'s
@@ -338,15 +334,18 @@ def bretagnolle_huber(sh: float) -> tuple[float, float]:
     raised by one ULP.  Both are capped at 2, never below the exact
     values, and tight <= loose always.
     """
-    sh = _divergence(sh)
+    return _bretagnolle_huber(_divergence(sh))
+
+
+def _bretagnolle_huber(sh: float) -> tuple[float, float]:
     loose = min(math.nextafter(2.0 * math.sqrt(sh), 2.0), 2.0) if sh else 0.0
     return min(_certify(_ROWS["SH"], sh), loose), loose
 
 
 def bretagnolle_huber_certificate(sh: float) -> TvCertificate:
     """The tight Bretagnolle-Huber bound packaged as a certificate."""
-    tight, _ = bretagnolle_huber(sh := _divergence(sh))
-    return TvCertificate("SH", sh, tight, METHOD_BRETAGNOLLE_HUBER)
+    sh = _divergence(sh)
+    return TvCertificate("SH", sh, _bretagnolle_huber(sh)[0], METHOD_BRETAGNOLLE_HUBER)
 
 
 def hellinger_bound(he: float) -> float:
@@ -355,11 +354,11 @@ def hellinger_bound(he: float) -> float:
     Derived by discarding the f(1 + t) term of phi for the Hellinger
     generator, so it is valid but never tighter than ``invert``.
     """
-    he = _divergence(he)
-    return 2.0 - 2.0 * (1.0 - math.sqrt(he)) ** 2 if he < 1.0 else 2.0
+    return hellinger_certificate(he).tv_upper_bound
 
 
 def hellinger_certificate(he: float) -> TvCertificate:
     """The closed-form Hellinger bound packaged as a certificate."""
     he = _divergence(he)
-    return TvCertificate("HE", he, hellinger_bound(he), METHOD_HELLINGER)
+    return TvCertificate("HE", he, 2.0 - 2.0 * (1.0 - math.sqrt(he)) ** 2 if he < 1.0 else 2.0,
+                         METHOD_HELLINGER)

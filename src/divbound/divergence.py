@@ -1,13 +1,12 @@
 """Evaluation of f-divergences between finite probability measures.
 
 The divergence of mu from nu under a generator f is
-sum_i nu_i * f(mu_i / nu_i) over atoms with nu_i > 0, with the
-conventions 0 * f(0/0) := 0 (atoms where both measures vanish carry no
-mass against nu) and f(0) := the generator's stored limit at 0+.  The
-result lives in [0, inf]; it is +inf when a term is, and also when a
-ratio mu_i / nu_i overflows past the largest float (numpy then warns), so a
-finite divergence can read +inf.  Pairs violating absolute continuity
-(mu_i > 0 where nu_i = 0) raise instead of being assigned a value.
+sum_i nu_i * f(mu_i / nu_i) by Liese and Vajda's conventions (IEEE Trans.
+IT 52(10), 2006): 0 * f(0/0) := 0, f(0) := the generator's stored limit at
+0+, and a term whose ratio is +inf, from nu_i = 0 or from a ratio past the
+largest float, is mu_i * f'(inf), the stored slope (+inf if none is).  The
+result lives in [0, inf]; KL and PE read +inf past the largest float.  Pairs
+violating absolute continuity (mu_i > 0 where nu_i = 0) raise.
 
 Terms are added with compensated (exact) summation, so test tolerances
 can be taken at the 1e-12 scale.
@@ -42,10 +41,8 @@ class DivergenceValue:
         return math.isfinite(self.value)
 
 
-def density_ratio(
-    mu: ProbabilityMeasure, nu: ProbabilityMeasure
-) -> list[tuple[str, float]]:
-    """Elementwise density dmu/dnu on the atoms that carry nu-mass.
+def density_ratio(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> list[tuple[str, float]]:
+    """Elementwise density dmu/dnu on the atoms that carry nu-mass; +inf past the largest float.
 
     Atoms where both measures vanish are omitted; they contribute nothing
     to any integral against nu.  Raises when mu puts mass where nu does
@@ -53,56 +50,59 @@ def density_ratio(
     """
     ids, a, b = align(mu, nu)
     carrier = _carrier(ids, a, b)
-    ratios = (a[carrier] / b[carrier]).tolist()
+    with np.errstate(over="ignore"):
+        ratios = (a[carrier] / b[carrier]).tolist()
     return [(ids[i], r) for i, r in zip(np.flatnonzero(carrier).tolist(), ratios)]
 
 
-def _divergence_rows(f: Generator, a: np.ndarray, b: np.ndarray):
-    """Exact sum of b_i * f(a_i / b_i) where b_i > 0, plus a_i * f.slope_at_inf where a_i > 0 = b_i.
+def _terms(f: Generator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each atom's term of the divergence; no other code forms one.
 
-    A conjugate sums its base generator's terms of the swapped pair, so
-    it equals the base divergence with the arguments swapped, bit for bit.
-    Takes one aligned pair as 1-D arrays, giving a float, or one aligned
-    pair per row of 2-D arrays, giving an array of row sums.  Sums within
-    roundoff below zero, in [-1e-12, 0), are clamped to 0.  Terms +inf and
-    -inf in one row, which only a non-convex or mis-declared generator
-    gives, raise ``DomainError``, except in a block of two-atom rows,
-    whose two-term sum gives NaN for them.
+    From x = a_i / b_i: b_i * f(x) if finite, a_i * f.slope_at_inf if +inf, and 0 for 0/0.  A
+    conjugate takes its base's terms of the swapped pair: the base divergence swapped, bit for bit.
     """
-    name = f.name
     if f.base is not None:
         f, a, b = f.base, b, a
-    vector = b.ndim == 1
-    a, b = np.atleast_2d(a), np.atleast_2d(b)
-    carrier = b > 0.0
-    nw = b[carrier]
-    rows = np.zeros(b.shape)
-    rows[carrier] = nw * f.eval_array(a[carrier] / nw)
-    if nw.size < b.size and (outside := (a > 0.0) & ~carrier).any():
-        rows[outside] = a[outside] * f.slope_at_inf
-    if b.shape[1] == 2 and not vector:
-        # a correctly rounded two-term sum equals fsum's except where fsum raises (inf - inf,
-        # overflow), so only blocks take it; adding 0.0 turns -0.0 into fsum's +0.0
-        sums = rows[:, 0] + rows[:, 1] + 0.0
-    else:
-        try:
-            sums = np.array([math.fsum(row) for row in rows.tolist()])
-        except ValueError:  # fsum's "-inf + inf"
-            raise DomainError(f"generator {name!r} gives terms +inf and -inf, "
-                              "whose sum is undefined") from None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = a / b
+    if (finite := np.isfinite(x)).all():  # every b_i > 0: no masked copies
+        return b * f.eval_array(x)
+    terms = np.zeros(x.shape)
+    terms[finite] = b[finite] * f.eval_array(x[finite])
+    beyond = x == math.inf
+    terms[beyond] = a[beyond] * (math.inf if f.slope_at_inf is None else f.slope_at_inf)
+    return terms
+
+
+def _divergence_rows(f: Generator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact sum of ``_terms`` in each row of aligned (rows, atoms) blocks, by fsum's rules.
+
+    Sums in [-1e-12, 0), roundoff, are clamped to 0.  Terms +inf and -inf in one row,
+    which only a non-convex or mis-declared generator gives, raise ``DomainError``.
+    """
+    rows = _terms(f, a, b)
+    try:
+        # a two-atom row's vector sum is correctly rounded: fsum's value (+ 0.0 turns -0.0 into
+        # fsum's +0.0), or inf where fsum overflows; a NaN may be fsum's "-inf + inf"
+        with np.errstate(invalid="ignore"):
+            if b.shape[1] != 2 or np.isnan(sums := rows[:, 0] + rows[:, 1] + 0.0).any():
+                sums = np.array([math.fsum(row) for row in rows.tolist()])
+    except ValueError:  # fsum's "-inf + inf"
+        raise DomainError(f"generator {f.name!r} gives terms +inf and -inf, "
+                          "whose sum is undefined") from None
     sums[(-_NONNEG_CLAMP <= sums) & (sums < 0.0)] = 0.0
-    return float(sums[0]) if vector else sums
+    return sums
 
 
 def d_f(f: Generator, mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> DivergenceValue:
-    """The f-divergence sum_i nu_i * f(mu_i / nu_i).
+    """The f-divergence sum_i nu_i * f(mu_i / nu_i), by the module's conventions.
 
-    Requires mu absolutely continuous with respect to nu.  Results within
-    roundoff below zero are clamped to 0.
+    Requires mu absolutely continuous with respect to nu.  The pair is summed as a one-row
+    block of ``_divergence_rows``, so results within roundoff below zero are clamped to 0.
     """
     ids, a, b = align(mu, nu)
     _carrier(ids, a, b)
-    return DivergenceValue(_divergence_rows(f, a, b), f.name)
+    return DivergenceValue(float(_divergence_rows(f, a[None], b[None])[0]), f.name)
 
 
 def kl(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> DivergenceValue:

@@ -278,13 +278,14 @@ def tv_distance(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> float:
 def tv_via_density(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> float:
     """Total variation computed through the density: sum_i nu_i |mu_i/nu_i - 1|.
 
-    Requires mu absolutely continuous with respect to nu; equal to
-    :func:`tv_distance` whenever it is defined.
+    Requires mu absolutely continuous with respect to nu; its terms are
+    ``d_f``'s for TV, and it equals :func:`tv_distance` whenever defined.
     """
+    from .divergence import _terms, builtin  # divergence imports this module
+
     ids, a, b = align(mu, nu)
-    carrier = _carrier(ids, a, b)
-    nw = b[carrier]
-    return _ordered_sum(nw * np.abs(a[carrier] / nw - 1.0))
+    _carrier(ids, a, b)
+    return _ordered_sum(_terms(builtin("TV"), a, b))
 
 
 def subset_totals(nu: SignedMeasure, within: Iterable[str] | None = None) -> np.ndarray:

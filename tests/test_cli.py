@@ -143,6 +143,34 @@ class TestCompute:
         assert err == "error: line 5: weight 'x' is not a number\n"
 
 
+class TestRatioOverflow:
+    """mu = (0.5, 0.5) from nu = (2.5e-309, 1.0), a valid pair whose ratio mu_1 / nu_1 overflows."""
+
+    @staticmethod
+    def compute(tmp_path, gen, mu, nu):
+        paths = []
+        for name, weights in (("mu", mu), ("nu", nu)):
+            atoms = [{"id": f"a{i + 1}", "w": w} for i, w in enumerate(weights)]
+            (path := tmp_path / f"{name}.json").write_text(json.dumps({"atoms": atoms}))
+            paths.append(str(path))
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        return subprocess.run([sys.executable, "-m", "divbound", "compute", "--gen", gen,
+                               "--mu", paths[0], "--nu", paths[1], "--precision", "17"],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("gen, expected", [
+        ("tv", "1"), ("he", "0.58578643762690497"), ("sh", "0.69314718055994529"),
+        ("kl", "inf"), ("pe", "inf"),  # infinite slopes: a sound upper end
+    ])
+    def test_compute(self, tmp_path, gen, expected):
+        done = self.compute(tmp_path, gen, (0.5, 0.5), (2.5e-309, 1.0))
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected + "\n", "")
+
+    def test_reverse_kl_with_an_atom_mu_misses(self, tmp_path):
+        done = self.compute(tmp_path, "sh", (0.5, 0.5, 0.0), (2.5e-309, 0.5, 0.5))
+        assert (done.returncode, done.stdout, done.stderr) == (0, "inf\n", "")
+
+
 class TestPrecisionLimit:
     def test_at_the_limit_prints(self, capsys):
         code, out, err = run(capsys, "bound", "--gen", "kl", "--tv", "0.3",

@@ -1,6 +1,7 @@
 """Divergence evaluation: values, conventions, duality, nonnegativity."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -25,6 +26,7 @@ from divbound import (
     sh,
     tv,
     tv_distance,
+    tv_via_density,
 )
 from divbound.divergence import _divergence_rows
 from helpers import bits, pm, pm_normalized, probability_pairs
@@ -130,6 +132,57 @@ class TestEvaluation:
         assert tv(mu, nu).value == pytest.approx(tv_distance(mu, nu), abs=1e-12)
 
 
+class TestRatioOverflow:
+    """mu_1 / nu_1 lies past the largest float: the term is mu_1 times the slope at infinity."""
+
+    MU, NU = pm(0.5, 0.5), pm(2.5e-309, 1.0)
+
+    @staticmethod
+    def exact(term):
+        with mpmath.workdps(50):
+            return mpmath.fsum(term(mpmath.mpf(float(m)), mpmath.mpf(float(n)))
+                               for m, n in zip((0.5, 0.5), (2.5e-309, 1.0)))
+
+    @pytest.fixture(autouse=True)
+    def no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_total_variation_agrees_in_every_form(self):
+        value = d_f(builtin("TV"), self.MU, self.NU).value
+        assert tv_via_density(self.MU, self.NU) == tv_distance(self.MU, self.NU) == value == 1.0
+
+    @pytest.mark.parametrize("name, term", [
+        ("TV", lambda m, n: abs(m - n)),
+        ("HE", lambda m, n: (mpmath.sqrt(m) - mpmath.sqrt(n)) ** 2),
+        ("SH", lambda m, n: n * mpmath.log(n / m)),
+    ])
+    def test_finite_slopes_give_the_exact_value(self, name, term):
+        expected = self.exact(term)
+        for f, mu, nu in ((builtin(name), self.MU, self.NU), (dual(builtin(name)), self.NU, self.MU)):
+            got = d_f(f, mu, nu).value
+            assert abs(got - expected) <= 1e-15 * expected
+
+    @pytest.mark.parametrize("name", ["KL", "PE"])
+    def test_infinite_slopes_read_inf(self, name):
+        assert d_f(builtin(name), self.MU, self.NU).value == math.inf
+        assert d_f(dual(builtin(name)), self.NU, self.MU).value == math.inf
+
+    def test_a_generator_without_a_slope_reads_inf(self):
+        chi = Generator("chi", lambda x: (x - 1.0) ** 2, 1.0, 0.0)
+        assert d_f(chi, self.MU, self.NU).value == math.inf
+        assert d_f(chi, self.MU, self.MU).value == 0.0
+
+    def test_infinite_terms_of_one_sign_sum_to_inf(self):
+        # the overflowing SH term is 0, not -inf, so the atom where mu vanishes gives +inf
+        mu, nu = pm(0.5, 0.5, 0.0), pm(2.5e-309, 0.5, 0.5)
+        assert sh(mu, nu).value == math.inf
+
+    def test_density_ratio_reads_inf(self):
+        assert density_ratio(self.MU, self.NU) == [("a1", math.inf), ("a2", 0.5)]
+
+
 class TestDuality:
     @given(probability_pairs())
     @settings(max_examples=100, deadline=None)
@@ -179,27 +232,39 @@ class TestRowSums:
         for name in BUILTIN_NAMES:
             for f in (builtin(name), dual(builtin(name))):
                 got = _divergence_rows(f, a, b)
-                expected = [_divergence_rows(f, x, y) for x, y in zip(a, b)]
+                expected = [_divergence_rows(f, x[None], y[None])[0] for x, y in zip(a, b)]
                 assert [bits(v) for v in got.tolist()] == [bits(v) for v in expected]
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_one_pair_sums_with_fsum_at_every_width(self, n):
         # terms of +inf and -inf, which only a generator that is not convex gives: fsum's
-        # error becomes a DomainError naming the generator, where the sweeps' two-term row
-        # sum gives NaN
+        # error becomes a DomainError naming the generator, in d_f and in the sweeps' blocks
         def step(x):
             return np.where(x == 1.0, 0.0, np.where(x > 1.0, np.inf, -np.inf))
 
         g = Generator("nonconvex", step, 0.0, None, 1.0)
         mu, nu = pm(*[0.25] * (n - 1), 1.0 - 0.25 * (n - 1)), pm(*[1.0 / n] * n)
+        message = "generator {!r} gives terms +inf and -inf, whose sum is undefined"
         for f, a, b in ((g, mu, nu), (dual(g), nu, mu)):
             with pytest.raises(DomainError) as raised:
                 d_f(f, a, b)
-            assert str(raised.value) == (f"generator {f.name!r} gives terms +inf and -inf, "
-                                         "whose sum is undefined")
-        a, b = np.array([[0.25, 0.75]]), np.array([[0.5, 0.5]])
-        with np.errstate(invalid="ignore"):
-            assert math.isnan(_divergence_rows(g, a, b)[0])
+            assert str(raised.value) == message.format(f.name)
+        a, b = np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(DomainError) as raised:
+            _divergence_rows(g, a, b)
+        assert str(raised.value) == message.format("nonconvex")
+
+    def test_nan_terms_give_nan_as_in_fsum(self):
+        # a NaN term without both infinities is no conflict: fsum returns NaN for its row
+        def nan_above_one(x):
+            return np.where(x > 1.0, np.nan, np.where(x < 1.0, np.inf, 0.0))
+
+        g = Generator("nan", nan_above_one, math.inf, None, 1.0)
+        for width in (2, 3):
+            a = np.array([[0.5] + [0.5 / (width - 1)] * (width - 1), [1.0 / width] * width])
+            b = np.array([[0.25] + [0.75 / (width - 1)] * (width - 1), [1.0 / width] * width])
+            got = _divergence_rows(g, a, b)
+            assert math.isnan(got[0]) and bits(got[1]) == bits(0.0)
 
     def test_negative_zero_terms_sum_to_positive_zero(self):
         g = Generator("negzero", lambda x: -0.0 * (x - 1.0) ** 2, -0.0, None)
@@ -214,7 +279,8 @@ class TestRowSums:
             raw = math.fsum((a * np.log(a / b)).tolist())
             assert raw < 0.0
             want = raw if expected is None else expected
-            assert bits(_divergence_rows(kl_, a, b)) == bits(want)
+            if expected is not None:  # d_f's measures sum to 1 within 1e-9
+                assert bits(d_f(kl_, pm(*a), pm(*b)).value) == bits(want)
             wide_a, wide_b = np.array([[0.25, 0.25, 0.5 - eps]]), np.array([[0.25, 0.25, 0.5]])
             rows = (_divergence_rows(kl_, a[None, :], b[None, :]),
                     _divergence_rows(kl_, wide_a, wide_b),
