@@ -3,16 +3,17 @@
 Each row times one layer or one CLI call: CLI and start-up rows run
 ``python -m divbound`` or ``python -c`` as a subprocess (interpreter start
 included), the rest run in this process.
-A row's figures are the best and the median of its runs, in milliseconds;
-one call times every row five times, after a full collection that
-freezes every object alive (``gc.freeze``), so that no collection timed
-in a row walks the 1e6-atom inputs the rows keep.  Running again with
-the same ``--pr`` adds five more runs to each row of the file, so that
-on a shared host both figures can be taken over runs spread in time,
-alternating with runs on another tree.  The file records the host's CPU
-count and the Python and numpy versions, and the script prints a diff
-against the newest earlier BENCH_*.json in the same directory.  It
-measures the ``src/`` tree next to it:
+A row's figures are the best and the median of its runs, in milliseconds.
+One call builds every row, freezes every object alive (``gc.freeze``),
+so that no collection timed in a row walks the 1e6-atom inputs the rows
+keep, and then makes five passes, each timing every row once: a row's
+runs are spread over the call, not bunched into one phase of a host
+whose speed drifts.  Running again with the same ``--pr`` adds five more
+runs to each row of the file, so that both figures can be taken over
+runs spread in time, alternating with runs on another tree.  The file
+records the host's CPU count and the Python and numpy versions, and the
+script prints a diff against the newest earlier BENCH_*.json in the same
+directory.  It measures the ``src/`` tree next to it:
 
     python3 benchmarks/layers.py --pr 11
 """
@@ -59,13 +60,11 @@ def probability_pair(n: int, seed: int):
     return ids, mu / mu.sum(), nu / nu.sum(), rng.permutation(n)
 
 
-def timed_ms(run) -> list[float]:
-    times = []
-    for _ in range(RUNS):
-        start = perf_counter()
-        run()
-        times.append((perf_counter() - start) * 1000.0)
-    return times
+def timed_ms(run) -> float:
+    gc.collect()  # the previous run's garbage; frozen objects are not walked
+    start = perf_counter()
+    run()
+    return (perf_counter() - start) * 1000.0
 
 
 def python(*argv: str):
@@ -80,52 +79,61 @@ def cli(*argv: str):
     return python("-m", "divbound", *argv)
 
 
+def sized_rows(work: Path, n: int):
+    """The rows on n-atom inputs, whose files they write in ``work``."""
+    kl = db.builtin("KL")
+    ids, mu, nu, perm = probability_pair(n, 1)
+    tag = f"1e{len(str(n)) - 1}"
+    js = write_measure(work / f"mu_{tag}.json", ids, mu)
+    cs = write_measure(work / f"mu_{tag}.csv", ids, mu)
+    shuffled_ids = [ids[i] for i in perm]
+    nu_js = write_measure(work / f"nu_{tag}.json", ids, nu)
+    nu_cs = write_measure(work / f"nu_{tag}.csv", shuffled_ids, nu[perm])
+    a = db.ProbabilityMeasure(ids, mu)
+    b = db.ProbabilityMeasure(ids, nu)
+    b_shuffled = db.ProbabilityMeasure(shuffled_ids, nu[perm])
+    yield f"read JSON file, construction included, n={tag}", lambda: db.read_probability_measure(js)
+    yield f"read CSV file, construction included, n={tag}", lambda: db.read_probability_measure(cs)
+    yield f"ProbabilityMeasure(...), n={tag}", lambda: db.ProbabilityMeasure(ids, mu)
+    # a fresh left measure per run, so that its cached atom index is rebuilt as after a read
+    yield (f"align, shuffled, index not cached, n={tag}",
+           lambda: db.align(db.ProbabilityMeasure(a.atoms, a.weights), b_shuffled))
+    yield f"tv_distance, n={tag}", lambda: db.tv_distance(a, b)
+    yield f"d_f KL, same order, n={tag}", lambda: db.d_f(kl, a, b)
+    yield f"d_f KL, shuffled, index cached, n={tag}", lambda: db.d_f(kl, a, b_shuffled)
+    if n == 100_000:
+        # files outside the plain layout: CRLF line ends (reading turns them into LF),
+        # integer JSON weights, and quoted CSV ids, which only the csv.reader loop reads
+        crlf = work / "mu_crlf_1e5.csv"
+        crlf.write_bytes(cs.read_bytes().replace(b"\n", b"\r\n"))
+        quoted = write_measure(work / "mu_quoted_1e5.csv", [f'"{a}"' for a in ids], mu)
+        whole = write_measure(work / "int_1e5.json", ids,
+                              np.random.default_rng([n, 2]).integers(-10**6, 10**6, n), "d")
+        yield "read CSV file with CRLF line ends, n=1e5", lambda: db.read_probability_measure(crlf)
+        yield "read CSV file with quoted ids, n=1e5", lambda: db.read_probability_measure(quoted)
+        yield ("read JSON file with integer weights, signed, n=1e5",
+               lambda: db.read_signed_measure(whole))
+        signed = write_measure(work / "signed_1e5.json", ids, mu - nu)
+        difference = db.SignedMeasure(ids, mu - nu)
+        yield "hahn_jordan, n=1e5", lambda: db.hahn_jordan(difference)
+        yield "CLI compute --gen kl, ordered JSON, n=1e5", cli(
+            "compute", "--gen", "kl", "--mu", str(js), "--nu", str(nu_js), "--precision", "17")
+        yield "CLI compute --gen kl, shuffled CSV, n=1e5", cli(
+            "compute", "--gen", "kl", "--mu", str(cs), "--nu", str(nu_cs), "--precision", "17")
+        yield "CLI decompose, JSON, n=1e5", cli("decompose", "--nu", str(signed),
+                                                "--precision", "17")
+
+
 def rows(work: Path):
     """(name, function) for every row; files are written before the rows that read them."""
     for name in db.__all__:  # resolve the lazy namespace first, so that no row times an import
         getattr(db, name)
     kl = db.builtin("KL")
     for n in (100_000, 1_000_000):
-        ids, mu, nu, perm = probability_pair(n, 1)
-        tag = f"1e{len(str(n)) - 1}"
-        js = write_measure(work / f"mu_{tag}.json", ids, mu)
-        cs = write_measure(work / f"mu_{tag}.csv", ids, mu)
-        shuffled_ids = [ids[i] for i in perm]
-        nu_js = write_measure(work / f"nu_{tag}.json", ids, nu)
-        nu_cs = write_measure(work / f"nu_{tag}.csv", shuffled_ids, nu[perm])
-        a = db.ProbabilityMeasure(ids, mu)
-        b = db.ProbabilityMeasure(ids, nu)
-        b_shuffled = db.ProbabilityMeasure(shuffled_ids, nu[perm])
-        yield f"read JSON file, construction included, n={tag}", lambda: db.read_probability_measure(js)
-        yield f"read CSV file, construction included, n={tag}", lambda: db.read_probability_measure(cs)
-        yield f"ProbabilityMeasure(...), n={tag}", lambda: db.ProbabilityMeasure(ids, mu)
-        # a fresh left measure per run, so that its cached atom index is rebuilt as after a read
-        yield (f"align, shuffled, index not cached, n={tag}",
-               lambda: db.align(db.ProbabilityMeasure(a.atoms, a.weights), b_shuffled))
-        yield f"tv_distance, n={tag}", lambda: db.tv_distance(a, b)
-        yield f"d_f KL, same order, n={tag}", lambda: db.d_f(kl, a, b)
-        yield f"d_f KL, shuffled, index cached, n={tag}", lambda: db.d_f(kl, a, b_shuffled)
-        if n == 100_000:
-            # files outside the plain layout: CRLF line ends (reading turns them into LF),
-            # integer JSON weights, and quoted CSV ids, which only the csv.reader loop reads
-            crlf = work / "mu_crlf_1e5.csv"
-            crlf.write_bytes(cs.read_bytes().replace(b"\n", b"\r\n"))
-            quoted = write_measure(work / "mu_quoted_1e5.csv", [f'"{a}"' for a in ids], mu)
-            whole = write_measure(work / "int_1e5.json", ids,
-                                  np.random.default_rng([n, 2]).integers(-10**6, 10**6, n), "d")
-            yield "read CSV file with CRLF line ends, n=1e5", lambda: db.read_probability_measure(crlf)
-            yield "read CSV file with quoted ids, n=1e5", lambda: db.read_probability_measure(quoted)
-            yield ("read JSON file with integer weights, signed, n=1e5",
-                   lambda: db.read_signed_measure(whole))
-            signed = write_measure(work / "signed_1e5.json", ids, mu - nu)
-            difference = db.SignedMeasure(ids, mu - nu)
-            yield "hahn_jordan, n=1e5", lambda: db.hahn_jordan(difference)
-            yield "CLI compute --gen kl, ordered JSON, n=1e5", cli(
-                "compute", "--gen", "kl", "--mu", str(js), "--nu", str(nu_js), "--precision", "17")
-            yield "CLI compute --gen kl, shuffled CSV, n=1e5", cli(
-                "compute", "--gen", "kl", "--mu", str(cs), "--nu", str(nu_cs), "--precision", "17")
-            yield "CLI decompose, JSON, n=1e5", cli("decompose", "--nu", str(signed),
-                                                    "--precision", "17")
+        yield from sized_rows(work, n)
+    tv = np.random.default_rng(1).uniform(0.0, 2.0, 1_000_000)
+    for name in db.BUILTIN_NAMES:
+        yield f"lower_bound {name}, 1e6 tv", lambda f=db.builtin(name): db.lower_bound(f, tv)
     # start-up: a bare interpreter, the package import, and the CLI's lightest paths
     yield "python -c pass", python("-c", "pass")
     yield 'python -c "import divbound"', python("-c", "import divbound")
@@ -204,14 +212,20 @@ def main(argv=None) -> int:
     out = HERE / f"BENCH_{args.pr}.json"
     earlier_runs = json.loads(out.read_text())["rows"] if out.exists() else {}
     with tempfile.TemporaryDirectory() as work:
-        for name, run in rows(Path(work)):
-            gc.collect()
-            gc.freeze()
-            times = earlier_runs.get(name, {}).get("runs_ms", []) + [round(t, 2) for t in timed_ms(run)]
-            row = {"best_ms": min(times), "median_ms": statistics.median(times), "runs_ms": times}
-            result["rows"][name] = row
-            print(f"{name:60s} {row['best_ms']:10.1f} / {row['median_ms']:10.1f} ms "
-                  f"(best / median of {len(times)})", flush=True)
+        functions = dict(rows(Path(work)))
+        gc.collect()
+        gc.freeze()
+        times = {name: earlier_runs.get(name, {}).get("runs_ms", []) for name in functions}
+        for done in range(RUNS):  # round-robin: every row once per pass
+            for name, run in functions.items():
+                times[name].append(round(timed_ms(run), 2))
+            print(f"pass {done + 1} of {RUNS} done", flush=True)
+    for name, row_times in times.items():
+        row = {"best_ms": min(row_times), "median_ms": statistics.median(row_times),
+               "runs_ms": row_times}
+        result["rows"][name] = row
+        print(f"{name:60s} {row['best_ms']:10.1f} / {row['median_ms']:10.1f} ms "
+              f"(best / median of {len(row_times)})")
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}")
     earlier = previous(args.pr)

@@ -10,15 +10,16 @@ at 0, and is nondecreasing on [0, 1]; it is strictly increasing when f
 has a separation coefficient.  Inverting the inequality at an observed
 divergence value therefore yields a certified upper bound on the total
 variation: the supremum of the phi sub-level set.  For the built-ins and
-their duals it comes from a table of bound functions written in t, each
-with its inverse and a stated ULP error bound: the inverse, rounded up,
-is confirmed by one evaluation, so certificates lie a few ULPs above
-the supremum and never below; the table is plain ``math``, and only the
-array functions (``lower_bound``, ``check_monotone``) import numpy.
-Custom generators bisect with scalar ``phi``.  Two closed forms come as
-well: Bretagnolle-Huber, whose tight value is the table's reverse-KL
-row, and a piecewise Hellinger bound that drops one phi term, so it is
-never tighter than ``invert``.
+their duals, floors and certificates come from one table of bound
+functions written in t, each with its inverse and a stated ULP error
+bound: a floor is the function by numpy, lowered by that bound, so it
+never lies above phi; a certificate is the inverse rounded up and
+confirmed by one evaluation by ``math``, so it lies a few ULPs above the
+supremum and never below.  Custom generators take phi as rounded
+(bisection with scalar ``phi``).  Only the array functions import numpy.
+Two closed forms come as well: Bretagnolle-Huber, whose tight value is
+the table's reverse-KL row, and a piecewise Hellinger bound that drops
+one phi term, so it is never tighter than ``invert``.
 """
 
 from __future__ import annotations
@@ -112,8 +113,11 @@ def lower_bound(f: Generator, tv: float | np.ndarray) -> float | np.ndarray:
     Values up to 2 + 2e-9, which ``tv_distance`` reaches on disjoint
     measures that each sum to 1 within their 1e-9 tolerance, count as 2.
     A float gives a float; an array gives one floor per entry, equal to the float's bit for bit.
-    Rounding can take phi below 0 at tiny tv, where f(1 + t) and f(1 - t) cancel; as
-    phi >= 2 f(1) = 0 for a convex f, such floors, and -0.0, are raised to +0.0.
+    A built-in or a dual takes its table row's formula, by numpy, lowered by the row's error
+    bound (phi(1) rounded down at tv = 2), so no floor lies above the exact one while numpy's
+    log and log1p err by at most one ULP; below t = 2**-451, where t*t could underflow, it is 0.
+    A custom generator's floor is f(1 + t) + f(1 - t) as rounded, not certified below about
+    tv = 1e-8, and +0.0 where that is at or below 0, as phi >= 2 f(1) = 0 for a convex f.
     """
     import numpy as np
 
@@ -122,8 +126,16 @@ def lower_bound(f: Generator, tv: float | np.ndarray) -> float | np.ndarray:
     tv = np.asarray(tv, dtype=np.float64)
     if (bad := ~((tv >= 0.0) & (tv <= 2.0 + 2.0 * PROBABILITY_SUM_TOL))).any():
         raise DomainError(f"total variation lies in [0, 2], got {float(tv[bad][0])!r}")
-    floors = _phi_array(f, np.minimum(tv, 2.0) / 2.0)
-    floors = np.where(floors <= 0.0, 0.0, floors)
+    t = np.minimum(tv, 2.0) / 2.0
+    if (row := f._bound_row) is None:
+        floors = _phi_array(f, t)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):  # at t = 1, where phi1 is taken
+            floors = row.low(t, np)
+            if row.high is not None:
+                floors = np.where(t < row.split, floors, row.high(t, np))
+        floors = np.where(t < 1.0, floors * row.down, row.phi1)
+    floors = np.where((floors <= 0.0) | (t < 2.0**-451), 0.0, floors)
     return floors if floors.ndim else float(floors)
 
 
@@ -147,45 +159,38 @@ def check_monotone(f: Generator, grid_size: int) -> bool:
         return not np.any(both_inf | falls | ~(current - previous > 1e-12))
 
 
-# The table of built-in bound functions, written in t so that no 1 +- t is rounded.  Errors
-# are relative, for t >= 2**-451 (no underflow), in u = 2**-53: +, -, *, / and sqrt err by u,
-# and log, log1p and expm1 by one ULP, 2u, as glibc documents.
+# The table of built-in bound functions, written in t so that no 1 +- t is rounded, each taking
+# t and m: math for a float, numpy for an array.  Errors are relative, for t >= 2**-451 (no
+# underflow), in u = 2**-53: +, -, *, / and sqrt err by u, log, log1p and expm1 by one ULP, 2u.
 
 
-def _pe_phi(t: float) -> float:
+def _pe_phi(t, m):
     """2t**2 rounded down: Dekker's product (Veltkamp's split, no fma) gives t*t's error."""
     p, c = t * t, 134217729.0 * t  # 2**27 + 1
     hi = c - (c - t)
     lo = t - hi
-    exact = lo * lo - ((p - hi * hi) - 2.0 * hi * lo) >= 0.0  # t**2 >= p
-    return 2.0 * (p if exact else math.nextafter(p, 0.0))
+    below = lo * lo - ((p - hi * hi) - 2.0 * hi * lo) < 0.0  # t**2 < p: one ULP down
+    return 2.0 * (p - (p - m.nextafter(p, 0.0)) * below)
 
 
-def _sh_phi(t: float) -> float:
-    # below 0.7, t*t's u times log1p's condition number 1.43, plus 2u; from 0.7 on, the
-    # product's 2u (1 - t is exact) times log's condition number 1.49, plus 2u: 4.97u
-    return -math.log1p(-t * t) if t < 0.7 else -math.log((1.0 - t) * (1.0 + t))
-
-
-def _he_phi(t: float) -> float:
+def _he_phi(t, m):
     # 4 - 2(sqrt(1 + t) + sqrt(1 - t)) without cancellation: s errs by 2u, 1 + s by 2u,
     # 2 + sqrt(2 + 2s) by 1.75u, their product by 4.75u, 4t*t and the quotient by u: 6.75u
-    s = math.sqrt((1.0 - t) * (1.0 + t))
-    return 4.0 * t * t / ((1.0 + s) * (2.0 + math.sqrt(2.0 + 2.0 * s)))
+    s = m.sqrt((1.0 - t) * (1.0 + t))
+    return 4.0 * t * t / ((1.0 + s) * (2.0 + m.sqrt(2.0 + 2.0 * s)))
 
 
 _KL_SERIES = tuple(1.0 / (k * (2 * k - 1)) for k in range(25, 0, -1))
 
 
-def _kl_phi(t: float) -> float:
-    # below 0.5, sum w**k / (k(2k - 1)) with w = t*t <= 1/4: term k takes at most 3k + 1
-    # roundings, 4.4u in all, and the terms past the 25th add under 0.01u.  From 0.5 on, the
-    # products err by 4u and 3u and are at most 2.33 and 1.33 times phi: 14.3u
-    if t >= 0.5:
-        return (1.0 + t) * math.log1p(t) + (1.0 - t) * math.log1p(-t)
+# below 0.5, sum w**k / (k(2k - 1)) with w = t*t <= 1/4: term k takes at most 3k + 1
+# roundings, 4.4u in all, and the terms past the 25th add under 0.01u.  From 0.5 on, the
+# products err by 4u and 3u and are at most 2.33 and 1.33 times phi: 14.3u
+def _kl_low(t, m):
     w, p = t * t, 0.0
-    for c in _KL_SERIES:
-        p = p * w + c
+    for c in _KL_SERIES:  # in place once p is an array
+        p *= w
+        p += c
     return p * w
 
 
@@ -215,11 +220,13 @@ def _kl_inverse(d: float) -> float:
 
 @dataclass
 class _Row:
-    phi_t: Callable[[float], float]  # phi(t) = f(1 + t) + f(1 - t)
+    low: Callable  # phi(t) = f(1 + t) + f(1 - t) for t < split, with m = math or numpy
     inverse: Callable[[float], float]  # t with phi(t) = d, 2**-900 <= d < phi1, within 2 ULPs
     phi1: float  # phi(1), rounded down
-    ulps: int  # phi_t exceeds phi by at most ulps * 2u; 0: never
+    ulps: int  # low and high exceed phi by at most ulps * 2u on [0, 1); 0: never
     k: float | None  # phi(t) >= 4t**2 / k on [0, 1]; None for TV, whose phi is 2t
+    split: float = math.inf
+    high: Callable | None = None  # phi(t) for split <= t < 1
     up: float = field(init=False)  # raises the inverse by ulps * 2u
     down: float = field(init=False)  # phi_t * down <= phi
 
@@ -227,17 +234,25 @@ class _Row:
         self.up = 1.0 + self.ulps * 2.0**-52
         self.down = 1.0 - (2 * self.ulps + 1) * 2.0**-53 if self.ulps else 1.0
 
+    def phi_t(self, t: float) -> float:
+        """The row's phi at a float t in [0, 1), by math."""
+        return (self.low if t < self.split else self.high)(t, math)
 
-_TV = _Row(lambda t: 2.0 * t, lambda d: 0.5 * d, 2.0, 0, None)
-_KL = _Row(_kl_phi, _kl_inverse, 1.3862943611198906, 8, 4.0)
-_SH = _Row(_sh_phi, lambda d: math.sqrt(-math.expm1(-d)), math.inf, 3, 4.0)
+
+_TV = _Row(lambda t, m: 2.0 * t, lambda d: 0.5 * d, 2.0, 0, None)
+_KL = _Row(_kl_low, _kl_inverse, 1.3862943611198906, 8, 4.0,
+           0.5, lambda t, m: (1.0 + t) * m.log1p(t) + (1.0 - t) * m.log1p(-t))
+# below 0.7, t*t's u times log1p's condition number 1.43, plus 2u; from 0.7 on, the
+# product's 2u (1 - t is exact) times log's condition number 1.49, plus 2u: 4.97u
+_SH = _Row(lambda t, m: -m.log1p(-t * t), lambda d: math.sqrt(-math.expm1(-d)), math.inf, 3, 4.0,
+           0.7, lambda t, m: -m.log((1.0 - t) * (1.0 + t)))
 _HE = _Row(_he_phi, lambda d: (4.0 - d) * math.sqrt(d * (8.0 - d)) / 8.0, 1.1715728752538097,
            4, 8.0)
 # keyed on a built-in's name, with "*" for its dual; dual(PE) is Neyman's chi-square, where
 # t*t, 1 - t, 1 + t, their product and the quotient err by u each: 5u
 _ROWS = {"TV": _TV, "TV*": _TV, "HE": _HE, "HE*": _HE, "KL": _KL, "SH*": _KL, "SH": _SH,
          "KL*": _SH, "PE": _Row(_pe_phi, lambda d: math.sqrt(0.5 * d), 2.0, 0, 2.0),
-         "PE*": _Row(lambda t: 2.0 * t * t / ((1.0 - t) * (1.0 + t)),
+         "PE*": _Row(lambda t, m: 2.0 * t * t / ((1.0 - t) * (1.0 + t)),
                      lambda d: math.sqrt(d / (2.0 + d)), math.inf, 3, 2.0)}
 
 
@@ -250,11 +265,11 @@ def _table_row(f: Generator) -> _Row | None:
 def _certify(row: _Row, d: float) -> float:
     """The TV bound a row certifies at d >= 0: its inverse rounded up, then confirmed.
 
-    phi_t lowered by its error bound must reach d at t, which proves that
-    phi does and so that the supremum is at most 2t; a failed check moves
-    t up one ULP, at most 8 times.  Below 2**-900, where t*t could
-    underflow and void the error bounds, or should every check fail,
-    phi(t) >= 4t**2 / k gives sqrt(k d), rounded up.
+    The row's phi by ``math``, lowered by its error bound, must reach d
+    at t, which proves that phi does and so that the supremum is at most
+    2t; a failed check moves t up one ULP, at most 8 times.  Below
+    2**-900, where t*t could underflow and void the error bounds, or
+    should every check fail, phi(t) >= 4t**2 / k gives sqrt(k d), rounded up.
     """
     if d >= row.phi1:
         return 2.0

@@ -27,6 +27,7 @@ from divbound import (
     phi,
     tv_distance,
 )
+from divbound import bounds
 from divbound.divergence import _divergence_rows
 from divbound.extreal import encode_extended
 
@@ -167,6 +168,43 @@ def _kl_phi_mp(t):
         w = t * t
         return mpmath.fsum(w**k / (k * (2 * k - 1)) for k in range(1, 40))
     return 2 * t * mpmath.atanh(t) + mpmath.log1p(-t * t)
+
+
+# each bound function's generator, written apart from divbound; NE is Neyman's chi-square
+_GENERATORS_MP = {
+    "TV": lambda x: abs(x - 1),
+    "PE": lambda x: (x - 1) ** 2,
+    "HE": lambda x: (mpmath.sqrt(x) - 1) ** 2,
+    "NE": lambda x: (x - 1) ** 2 / x if x else mpmath.inf,
+    "KL": lambda x: x * mpmath.log(x) if x else 0,
+    "SH": lambda x: -mpmath.log(x) if x else mpmath.inf,
+}
+
+
+def phi_exact(name: str, tv: float):
+    """phi(min(tv, 2) / 2) as f(1 + t) + f(1 - t), for a key or a value of BOUND_FUNCTION_OF,
+    with 60 digits left after the cancellation of f(1 + t) and f(1 - t), about 2 log10(1/t)."""
+    f = _GENERATORS_MP[BOUND_FUNCTION_OF.get(name, name)]
+    t = mpmath.mpf(min(float(tv), 2.0)) / 2
+    with mpmath.workdps(60 + (2 * int(-mpmath.log10(t)) if 0 < t < 1 else 0)):
+        return f(1 + t) + f(1 - t)
+
+
+def table_floors(f, tv) -> np.ndarray:
+    """Reference floors of a built-in or a dual: each piece of its row's formula by numpy on the
+    entries it owns, times the row's ``down``; phi(1) rounded down at t = 1, and +0.0 below
+    t = 2**-451 and for floors at or below 0."""
+    row = bounds._table_row(f)
+    t = np.minimum(np.asarray(tv, dtype=np.float64), 2.0) / 2.0
+    phis, low = np.empty_like(t), t < row.split
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phis[low] = row.low(t[low], np)
+        if not low.all():
+            phis[~low] = row.high(t[~low], np)
+    floors = phis * row.down
+    floors[t == 1.0] = row.phi1
+    floors[(floors <= 0.0) | (t < 2.0**-451)] = 0.0
+    return floors
 
 
 def tv_supremum(name: str, d: float):

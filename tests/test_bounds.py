@@ -44,8 +44,10 @@ from helpers import (
     invert_bisection,
     kl_inverse_reference,
     ordered_sum,
+    phi_exact,
     pm,
     probability_pairs,
+    table_floors,
     tv_supremum,
 )
 
@@ -131,6 +133,9 @@ class TestLowerBound:
             assert lower_bound(f, t) <= d_f(f, mu, nu).value + 1e-9
 
 
+# every generator with a row in the table of bound functions: the built-ins and their duals
+TABLE_NAMES = BUILTIN_NAMES + tuple(f"{name}*" for name in BUILTIN_NAMES)
+
 # the 5 built-ins and their duals
 WITH_DUALS = [builtin(name) for name in BUILTIN_NAMES]
 WITH_DUALS += [dual(f) for f in WITH_DUALS]
@@ -140,6 +145,12 @@ WITH_DUALS += [dual(f) for f in WITH_DUALS]
 AGREEMENT_T = np.concatenate([
     np.random.default_rng(20240917).random(200_000), [0.0, 1.0, 5e-324, 2.0**-30, 1.0 - 2.0**-53]
 ])
+
+
+# generators with no row: a copy of KL's formula, and -log written the natural way, whose
+# f(1) = -0.0 makes its phi(0) -0.0 before the raise
+CUSTOM_FLOORS = [Generator("myKL", builtin("KL").fn, 0.0, 1.0, math.inf),
+                 Generator("-log", lambda x: -math.log(x), math.inf)]
 
 
 class TestOneFloorPath:
@@ -154,10 +165,29 @@ class TestOneFloorPath:
 
     @pytest.mark.parametrize("f", WITH_DUALS, ids=lambda f: f.name)
     def test_array_floors_equal_scalar_floors(self, f):
+        # a built-in's or a dual's floors are its row's formula by numpy, lowered by the row's
+        # bound; the same formula by math, which confirms certificates, lies within n ULPs of
+        # phi too, so the two differ by at most 2n ULPs
         tv = np.concatenate([2.0 * AGREEMENT_T, [2.0, math.nextafter(2.0, 3.0), 2.0 + 2e-9]])
-        # floors are phi(tv / 2), except that rounding to or below 0 is raised to +0.0
         floors = lower_bound(f, tv)
         assert isinstance(floors, np.ndarray) and floors.shape == tv.shape
+        assert floors.tobytes() == table_floors(f, tv).tobytes()
+        row = f._bound_row
+        for i in [*range(0, tv.size, 100), *range(tv.size - 8, tv.size)]:
+            t = float(tv[i])
+            scalar = lower_bound(f, t)
+            assert type(scalar) is float
+            assert bits(floors[i]) == bits(scalar), t
+            if 2.0**-450 <= t < 2.0:
+                by_math = row.phi_t(t / 2.0) * row.down
+                assert abs(by_math - scalar) <= 2 * row.ulps * 2.0**-52 * scalar, t
+
+    @pytest.mark.parametrize("f", CUSTOM_FLOORS, ids=lambda f: f.name)
+    def test_custom_floors_are_the_generic_phi(self, f):
+        # a generator with no row takes f(1 + t) + f(1 - t) as rounded, raised to +0.0 at or
+        # below 0, in arrays and floats alike
+        tv = np.concatenate([2.0 * AGREEMENT_T, [2.0, math.nextafter(2.0, 3.0), 2.0 + 2e-9]])
+        floors = lower_bound(f, tv)
         phis = bounds._phi_array(f, np.minimum(tv, 2.0) / 2.0)
         assert floors.tobytes() == np.where(phis <= 0.0, 0.0, phis).tobytes()
         for i in [*range(0, tv.size, 100), *range(tv.size - 8, tv.size)]:
@@ -166,6 +196,15 @@ class TestOneFloorPath:
             assert type(scalar) is float
             value = phi(f, min(t, 2.0) / 2.0)
             assert bits(floors[i]) == bits(scalar) == bits(0.0 if value <= 0.0 else value), t
+
+    def test_generic_phi_runs_only_for_custom_generators(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bounds, "_phi_array", lambda f, t: calls.append(f) or t)
+        for f in WITH_DUALS:
+            lower_bound(f, np.array([0.5, 1.0]))
+        assert calls == []
+        lower_bound(CUSTOM_FLOORS[0], np.array([0.5, 1.0]))
+        assert calls == [CUSTOM_FLOORS[0]]
 
     @pytest.mark.parametrize("bad", [math.nan, -5e-324, -0.1, math.nextafter(2.0 + 2e-9, 3.0),
                                      2.1, math.inf])
@@ -180,8 +219,8 @@ class TestOneFloorPath:
     @pytest.mark.parametrize(
         "f", WITH_DUALS + [Generator("-log", lambda x: -math.log(x), math.inf)], ids=lambda f: f.name)
     def test_no_floor_is_negative(self, f):
-        # f(1 + t) and f(1 - t) cancel at tiny t, and rounding took SH, KL and their duals
-        # below 0 there; phi >= 2 f(1) = 0, so such floors are +0.0, never -0.0
+        # f(1 + t) and f(1 - t) cancel at tiny t, and rounding took the generic phi of SH, KL
+        # and their duals below 0 there; phi >= 2 f(1) = 0, so floors are +0.0, never -0.0
         tv = np.concatenate([[0.0, 5e-324], np.geomspace(1e-16, 1e-6, 2001),
                              np.geomspace(1e-14, 2.0, 2001)])
         floors = lower_bound(f, tv)
@@ -191,6 +230,76 @@ class TestOneFloorPath:
 
     def test_empty_array_gives_no_floors(self):
         assert lower_bound(builtin("KL"), np.array([])).shape == (0,)
+
+
+# 2,000 log-uniform TV in [1e-14, 2], the ends, the smallest subnormal, an odd subnormal (whose
+# half rounds up), and values about t = 2**-451, below which floors are 0
+EXACT_FLOOR_TV = np.concatenate([
+    10.0 ** np.random.default_rng(28).uniform(-14.0, math.log10(2.0), 2000),
+    [0.0, 5e-324, 2.0, 1.5e-323, 2.0**-900, 2.0**-450, 2.0**-449, 1e-200, 1e-100, 1e-16],
+])
+
+
+class TestFloorsAgainstTheExactFloor:
+    """No floor of a table generator lies above phi(tv / 2) at 60 digits."""
+
+    @pytest.mark.parametrize("name", TABLE_NAMES)
+    def test_no_floor_lies_above_phi(self, name):
+        floors = lower_bound(_table_generator(name), EXACT_FLOOR_TV)
+        above = [(tv, floor) for tv, floor in zip(EXACT_FLOOR_TV.tolist(), floors.tolist())
+                 if mpmath.mpf(floor) > phi_exact(name, tv)]
+        assert above == [], above[:5]
+
+    @pytest.mark.parametrize("name", TABLE_NAMES)
+    def test_floors_reach_the_rows_bound(self, name):
+        # not a vacuous floor: the formula errs by at most 2n u either way, down lowers it by
+        # (2n + 1)u and the product rounds once, so a floor is within (4n + 2)u of the exact one
+        f = _table_generator(name)
+        row = f._bound_row
+        for tv, floor in zip(EXACT_FLOOR_TV.tolist(), lower_bound(f, EXACT_FLOOR_TV).tolist()):
+            if 2.0**-449 <= tv < 2.0:
+                exact = phi_exact(name, tv)
+                assert floor >= exact * (1 - (4 * row.ulps + 2) * 2.0**-53), (tv, floor)
+
+
+def _ulps_off(values, exact, x):
+    """The largest |value - exact| in ULPs of the exact value, over numpy's values at x."""
+    worst = 0.0
+    for value, arg in zip(values.tolist(), x.tolist()):
+        truth = exact(mpmath.mpf(arg))
+        worst = max(worst, float(abs(value - truth)) / math.ulp(float(truth)))
+    return worst
+
+
+class TestNumpyLibm:
+    """The accuracy the array floors assume of numpy, at the arguments the rows give it."""
+
+    rng = np.random.default_rng(2028)
+    t = np.concatenate([10.0 ** rng.uniform(-135.0, 0.0, 10_000), rng.uniform(0.0, 1.0, 10_000)])
+
+    def test_log1p_within_one_ulp(self):
+        # SH's -t*t below 0.7, KL's t and -t from 0.5 on
+        x = np.concatenate([-(self.t * 0.7) ** 2, 0.5 + self.t / 2.0, -0.5 - self.t / 2.0])
+        x = x[x > -1.0]
+        with mpmath.workdps(40):
+            assert _ulps_off(np.log1p(x), mpmath.log1p, x) <= 1.0
+
+    def test_log_within_one_ulp(self):
+        # SH's (1 - t)(1 + t) from 0.7 on
+        t = 0.7 + 0.3 * self.t
+        x = (1.0 - t) * (1.0 + t)
+        x = x[x > 0.0]
+        with mpmath.workdps(40):
+            assert _ulps_off(np.log(x), mpmath.log, x) <= 1.0
+
+    def test_sqrt_correctly_rounded(self):
+        # HE's (1 - t)(1 + t) and 2 + 2s
+        s = (1.0 - self.t) * (1.0 + self.t)
+        x = np.concatenate([s, 2.0 + 2.0 * np.sqrt(s)])
+        with mpmath.workdps(40):
+            wrong = [v for v, y in zip(x.tolist(), np.sqrt(x).tolist())
+                     if y != float(mpmath.sqrt(mpmath.mpf(v)))]
+        assert wrong == [], wrong[:5]
 
 
 class TestCheckMonotone:
@@ -372,8 +481,6 @@ class TestInvert:
 
 # the d grid of the benchmark's certify workload: 0, 0.005, ..., 3.0
 CERTIFY_GRID = [3.0 * k / 600 for k in range(601)]
-# every generator with a row in the table of bound functions: the built-ins and their duals
-TABLE_NAMES = BUILTIN_NAMES + tuple(f"{name}*" for name in BUILTIN_NAMES)
 
 
 def _fields_bits(cert):

@@ -29,7 +29,7 @@ from divbound import (
 from divbound import cli
 from divbound.cli import build_parser, main
 from divbound.extreal import DOWN, MAX_PRECISION, format_extended
-from helpers import decompose_json_dumps
+from helpers import decompose_json_dumps, phi_exact
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -211,12 +211,27 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "--gen", "sh", "--tv", "0")
         assert code == 0
         assert out.strip() == "0"
-        # phi rounded to -1.1e-16 for SH at tv = 1e-14 and 5e-14, and for KL at 1.122e-16
+        # f(1 + t) + f(1 - t) rounded to -1.1e-16 for SH at tv = 1e-14 and 5e-14, and for KL at
+        # 1.122e-16, when floors were the generic phi
         for gen in ("sh", "kl"):
             for tv in ("1e-14", "5e-14", "1.1220184543019654e-16"):
                 code, out, _ = run(capsys, "bound", "--gen", gen, "--tv", tv, "--precision", "17")
                 assert code == 0
                 assert not out.startswith("-") and float(out) >= 0.0, (gen, tv, out)
+
+    @pytest.mark.parametrize("gen", ("tv", "kl", "sh", "pe"))
+    def test_tiny_tv_floor_stays_at_or_below_the_exact_one(self, gen):
+        # 1 +- t rounded away t's low bits: TV printed 1.0103029524088925e-14, KL 1.1e-16
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-m", "divbound", "bound", "--gen", gen, "--tv",
+                               "1e-14", "--precision", "17"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        printed = done.stdout.strip()
+        if gen == "tv":
+            assert printed == "1e-14"
+        # the printed text reads back as a float at or below the floor, as DOWN promises
+        assert 0 < mpmath.mpf(float(printed)) <= phi_exact(gen.upper(), 1e-14), printed
 
     def test_floor_prints_rounded_down(self, capsys):
         exact = lower_bound(builtin("KL"), 0.5)

@@ -33,6 +33,7 @@ from helpers import (
     pm,
     scan_binary_grid,
     scan_to_csv_cells,
+    table_floors,
     tightness_gap_rows,
     verify_bound_loop,
 )
@@ -125,15 +126,24 @@ class TestScanBinary:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_floor_column_equals_lower_bound_of_the_tv_column(self, name):
-        # at resolution 250, squares taken through libm pow moved 116 PE floors by one ULP
+        # a built-in's floors are its table row's formula, lowered by the row's bound
         f = builtin(name)
+        records = scan_binary(f, 250)
+        floors = np.array([r.lower_bound for r in records])
+        tvs = np.array([r.tv for r in records])
+        assert floors.tobytes() == lower_bound(f, tvs).tobytes() == table_floors(f, tvs).tobytes()
+        for r in records[::97]:
+            assert bits(r.lower_bound) == bits(lower_bound(f, r.tv)), r
+
+    def test_custom_floor_column_is_phi_of_the_tv_column(self):
+        # a generator with no row takes f(1 + t) + f(1 - t) as rounded, as scalar phi does; its
+        # square is y * y, since squares through libm pow moved 116 PE floors by one ULP here
+        f = Generator("chi2", lambda x: (x - 1.0) * (x - 1.0), 1.0, 0.0, math.inf)
         records = scan_binary(f, 250)
         floors = np.array([r.lower_bound for r in records])
         assert floors.tobytes() == lower_bound(f, np.array([r.tv for r in records])).tobytes()
         for r in records:
             assert bits(r.lower_bound) == bits(phi(f, r.tv / 2.0)), r
-        for r in records[::97]:
-            assert bits(r.lower_bound) == bits(lower_bound(f, r.tv)), r
 
     def test_record_count_and_domain(self):
         assert len(scan_binary(builtin("PE"), 7)) == 49
