@@ -180,25 +180,11 @@ def _he_phi(t, m):
     return 4.0 * t * t / ((1.0 + s) * (2.0 + m.sqrt(2.0 + 2.0 * s)))
 
 
-_KL_SERIES = tuple(1.0 / (k * (2 * k - 1)) for k in range(25, 0, -1))
-
-
-# below 0.5, sum w**k / (k(2k - 1)) with w = t*t <= 1/4: term k takes at most 3k + 1
-# roundings, 4.4u in all, and the terms past the 25th add under 0.01u.  From 0.5 on, the
-# products err by 4u and 3u and are at most 2.33 and 1.33 times phi: 14.3u
-def _kl_low(t, m):
-    w, p = t * t, 0.0
-    for c in _KL_SERIES:  # in place once p is an array
-        p *= w
-        p += c
-    return p * w
-
-
 def _kl_inverse(d: float) -> float:
     # Newton's method on the convex phi: below d = 0.26 from phi's series in w = t**2 reverted
     # to d**5 (within 1e-6), else from t**2 + t**4 / 6 = d, right of the root as phi is above
-    # that quartic.  Below 0.5 phi is t phi' + log1p(-t*t), which cancels
-    # 3-fold at most; as phi'' = 2 / (1 - t**2), a step leaves about step**2 / ((1 - t**2) phi')
+    # that quartic.  phi is the KL row's, inline to reuse its logs for the slope phi'; as
+    # phi'' = 2 / (1 - t**2), a step leaves about step**2 / ((1 - t**2) phi')
     w = (d * (1.0 - d * (1 / 6 + d * (1 / 90 + d * (5 / 1512 + d * 143 / 113400)))) if d < 0.26
          else 2.0 * d / (1.0 + math.sqrt(1.0 + d / 1.5)))
     log1p, cap = math.log1p, 1.0 - 2.0**-53  # bound once for the loop; t stays at most cap < 1
@@ -240,7 +226,12 @@ class _Row:
 
 
 _TV = _Row(lambda t, m: 2.0 * t, lambda d: 0.5 * d, 2.0, 0, None)
-_KL = _Row(_kl_low, _kl_inverse, 1.3862943611198906, 8, 4.0,
+# below 0.5, log1p(+-t) err by 2u, their difference by 3u and its product with t by 4u;
+# log1p(-t*t) by 3.16u (condition number 1.16 at most for t*t <= 1/4, plus 2u); the sum
+# cancels at most 2.1- and 1.1-fold: 13u.  From 0.5 on, the products err by 4u and 3u and
+# are at most 2.33 and 1.33 times phi: 14.3u
+_KL = _Row(lambda t, m: t * (m.log1p(t) - m.log1p(-t)) + m.log1p(-t * t), _kl_inverse,
+           1.3862943611198906, 8, 4.0,
            0.5, lambda t, m: (1.0 + t) * m.log1p(t) + (1.0 - t) * m.log1p(-t))
 # below 0.7, t*t's u times log1p's condition number 1.43, plus 2u; from 0.7 on, the
 # product's 2u (1 - t is exact) times log's condition number 1.49, plus 2u: 4.97u

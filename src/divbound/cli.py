@@ -214,11 +214,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse exits with 0 after --help, else with 2
+        return exc.code
     try:
         precision = _resolve_precision(args)
     except DomainError as exc:

@@ -31,10 +31,7 @@ def parse_extended(text: str) -> float:
     NaN and negative infinity are rejected.  Finite negative numbers are
     returned as-is; domain checks belong to the operation consuming them.
     """
-    s = str(text).strip()
-    if s.lower() == "inf":
-        return INF
-    value = float(s)
+    value = float(str(text).strip())
     if math.isnan(value):
         raise ValueError(f"not a value: {text!r}")
     if value == -INF:

@@ -6,7 +6,11 @@ import csv
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -30,6 +34,17 @@ from divbound import (
 from divbound import bounds
 from divbound.divergence import _divergence_rows
 from divbound.extreal import encode_extended
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def python(*argv: str, timeout: float = 120, env: dict | None = None,
+           text: bool = True) -> subprocess.CompletedProcess:
+    """A fresh interpreter with only this tree's ``src`` on the path and its output captured;
+    ``env`` adds variables to the environment, and ``text=False`` keeps the output as bytes."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), **(env or {})}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=text,
+                          timeout=timeout)
 
 
 def atoms(n: int) -> tuple[str, ...]:
@@ -140,16 +155,22 @@ def invert_bisection(f, d: float) -> float:
     return 2.0 * hi
 
 
+def kl_phi_reference(t: float) -> float:
+    """The KL phi that ``kl_inverse_reference`` iterates on: ``t (log1p t - log1p(-t)) +
+    log1p(-t**2)`` below 0.5, ``(1 + t) log1p t + (1 - t) log1p(-t)`` from there, by ``math``."""
+    up, down = math.log1p(t), math.log1p(-t)
+    return (1.0 + t) * up + (1.0 - t) * down if t >= 0.5 else t * (up - down) + math.log1p(-t * t)
+
+
 def kl_inverse_reference(d: float) -> float:
-    """Reference KL inverse: Newton's method as first written, with ``min`` and ``math.log1p``."""
+    """Reference KL inverse: Newton's method as first written, with ``min`` and ``math.log1p``,
+    on ``kl_phi_reference``."""
     w = (d * (1.0 - d * (1 / 6 + d * (1 / 90 + d * (5 / 1512 + d * 143 / 113400)))) if d < 0.26
          else 2.0 * d / (1.0 + math.sqrt(1.0 + d / 1.5)))
     t = min(math.sqrt(w), 1.0 - 2.0**-53)
     for _ in range(50):
-        up, down = math.log1p(t), math.log1p(-t)
-        slope = up - down
-        phi = (1.0 + t) * up + (1.0 - t) * down if t >= 0.5 else t * slope + math.log1p(-t * t)
-        step = (phi - d) / slope
+        slope = math.log1p(t) - math.log1p(-t)
+        step = (kl_phi_reference(t) - d) / slope
         t = min(t - step, 1.0 - 2.0**-53)
         if step * step <= 2.0**-53 * t * (1.0 - t) * (1.0 + t) * slope:
             break

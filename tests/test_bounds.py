@@ -43,6 +43,7 @@ from helpers import (
     check_monotone_loop,
     invert_bisection,
     kl_inverse_reference,
+    kl_phi_reference,
     ordered_sum,
     phi_exact,
     pm,
@@ -260,6 +261,32 @@ class TestFloorsAgainstTheExactFloor:
             if 2.0**-449 <= tv < 2.0:
                 exact = phi_exact(name, tv)
                 assert floor >= exact * (1 - (4 * row.ulps + 2) * 2.0**-53), (tv, floor)
+
+
+class TestOneKlFormula:
+    """Newton's method, the confirm step and the floors evaluate one KL phi."""
+
+    def test_row_is_the_phi_the_reference_inverse_iterates_on(self):
+        rng = np.random.default_rng(29)
+        t = np.concatenate([2.0 ** rng.uniform(-451.0, 0.0, 5000), rng.uniform(0.0, 1.0, 5000)])
+        t = t[(t > 0.0) & (t < 1.0)].tolist()
+        assert min(t) < 0.5 <= max(t)  # both pieces
+        differ = [x for x in t if bits(bounds._KL.phi_t(x)) != bits(kl_phi_reference(x))]
+        assert differ == [], differ[:5]
+
+    def test_low_piece_within_its_stated_13u(self):
+        # the row's comment derives 13u below t = 0.5, by math's and by numpy's log1p alike
+        rng = np.random.default_rng(30)
+        t = np.concatenate([2.0 ** rng.uniform(-451.0, -1.0, 3000),
+                            rng.uniform(2.0**-451, 0.5, 3000)])
+        t = t[t < 0.5]
+        by_math = [bounds._KL.low(x, math) for x in t.tolist()]
+        by_numpy = bounds._KL.low(t, np).tolist()
+        worst = 0.0
+        for x, a, b in zip(t.tolist(), by_math, by_numpy):
+            exact = phi_exact("KL", 2.0 * x)
+            worst = max(worst, float(max(abs(a - exact), abs(b - exact)) / exact))
+        assert worst <= 13 * 2.0**-53, worst / 2.0**-53
 
 
 def _ulps_off(values, exact, x):

@@ -3,8 +3,6 @@
 import io
 import json
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
@@ -29,10 +27,9 @@ from divbound import (
 from divbound import cli
 from divbound.cli import build_parser, main
 from divbound.extreal import DOWN, MAX_PRECISION, format_extended
-from helpers import decompose_json_dumps, phi_exact
+from helpers import decompose_json_dumps, phi_exact, python
 
 FIXTURES = Path(__file__).parent / "fixtures"
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 HALF = str(FIXTURES / "bernoulli_half.json")
 HALF_CSV = str(FIXTURES / "bernoulli_half.csv")
@@ -49,9 +46,8 @@ def run(capsys, *argv):
 
 def decompose_process(path, fmt):
     """``divbound decompose`` in a process of its own, as pytest's capture encodes stdout."""
-    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"}
-    return subprocess.run([sys.executable, "-m", "divbound", "decompose", "--nu", str(path),
-                           "--format", fmt], env=env, capture_output=True, timeout=120)
+    return python("-m", "divbound", "decompose", "--nu", str(path), "--format", fmt,
+                  env={"PYTHONIOENCODING": "utf-8"}, text=False)
 
 
 class TestCompute:
@@ -153,10 +149,8 @@ class TestRatioOverflow:
             atoms = [{"id": f"a{i + 1}", "w": w} for i, w in enumerate(weights)]
             (path := tmp_path / f"{name}.json").write_text(json.dumps({"atoms": atoms}))
             paths.append(str(path))
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        return subprocess.run([sys.executable, "-m", "divbound", "compute", "--gen", gen,
-                               "--mu", paths[0], "--nu", paths[1], "--precision", "17"],
-                              env=env, capture_output=True, text=True, timeout=120)
+        return python("-m", "divbound", "compute", "--gen", gen, "--mu", paths[0], "--nu",
+                      paths[1], "--precision", "17")
 
     @pytest.mark.parametrize("gen, expected", [
         ("tv", "1"), ("he", "0.58578643762690497"), ("sh", "0.69314718055994529"),
@@ -222,10 +216,7 @@ class TestBound:
     @pytest.mark.parametrize("gen", ("tv", "kl", "sh", "pe"))
     def test_tiny_tv_floor_stays_at_or_below_the_exact_one(self, gen):
         # 1 +- t rounded away t's low bits: TV printed 1.0103029524088925e-14, KL 1.1e-16
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        done = subprocess.run([sys.executable, "-m", "divbound", "bound", "--gen", gen, "--tv",
-                               "1e-14", "--precision", "17"],
-                              env=env, capture_output=True, text=True, timeout=120)
+        done = python("-m", "divbound", "bound", "--gen", gen, "--tv", "1e-14", "--precision", "17")
         assert (done.returncode, done.stderr) == (0, "")
         printed = done.stdout.strip()
         if gen == "tv":
@@ -574,9 +565,8 @@ class TestDecompose:
         # a printable id that stdout's encoding cannot hold is refused with that encoding's name
         path = tmp_path / "nu.json"
         path.write_text('{"atoms": [{"id": "\\u00e9", "w": 1.0}, {"id": "b", "w": -0.5}]}')
-        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "ascii"}
-        plain = subprocess.run([sys.executable, "-m", "divbound", "decompose", "--nu", str(path),
-                                "--format", "plain"], env=env, capture_output=True, timeout=120)
+        plain = python("-m", "divbound", "decompose", "--nu", str(path), "--format", "plain",
+                       env={"PYTHONIOENCODING": "ascii"}, text=False)
         assert (plain.returncode, plain.stdout) == (2, b"")
         assert plain.stderr == b"error: atom id '\\xe9' cannot be written as ascii\n"
 
@@ -597,6 +587,15 @@ class TestUsage:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("argv", (
+        ["invert", "--d", "0.5"], ["invert", "--gen", "kl"],
+        ["invert", "--gen", "xx", "--d", "0.5"], ["frobnicate"],
+    ), ids=("no-gen", "no-d", "bad-gen", "unknown-command"))
+    def test_usage_errors_return_the_int_2(self, capsys, argv):
+        code = main(argv)
+        assert (type(code), code) == (int, 2)
+        assert capsys.readouterr().err.startswith("usage: ")
+
     def test_entrypoint_freezes_the_collector_once_main_returns(self, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
@@ -606,9 +605,6 @@ class TestUsage:
         assert (exc.value.code, calls) == (3, ["main", "freeze"])
 
     def test_module_entry_point(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "divbound", "invert", "--gen", "pe", "--d", "0.5"],
-            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-        )
+        result = python("-m", "divbound", "invert", "--gen", "pe", "--d", "0.5")
         assert result.returncode == 0
         assert json.loads(result.stdout)["tv_upper_bound"] == 1.0

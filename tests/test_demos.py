@@ -1,11 +1,10 @@
 """Smoke test: every demo script runs to completion against the source tree."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import python
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -13,7 +12,5 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_0(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                            text=True, timeout=300)
+    result = python(str(demo), timeout=300)
     assert result.returncode == 0, result.stderr

@@ -16,6 +16,7 @@ from divbound.extreal import (
     encode_extended,
     format_extended,
     is_finite,
+    parse_extended,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -143,6 +144,30 @@ class TestPrecisionLimit:
         with pytest.raises(DomainError, match=f"at most {MAX_PRECISION}"):
             scan_to_csv(scan_binary(builtin("KL"), 3), out, MAX_PRECISION + 1)
         assert out.getvalue() == ""
+
+
+class TestParseExtended:
+    @pytest.mark.parametrize("text, value", [
+        ("inf", math.inf), ("INF", math.inf), (" inf ", math.inf), ("+inf", math.inf),
+        ("Infinity", math.inf), ("\u2003inf\u2003", math.inf), ("1e999", math.inf),
+        ("0", 0.0), ("-0.0", -0.0), (" 2 ", 2.0), ("-1.5", -1.5),
+    ])
+    def test_values(self, text, value):
+        assert math.copysign(1.0, parse_extended(text)) == math.copysign(1.0, value)
+        assert parse_extended(text) == value
+
+    @pytest.mark.parametrize("text, message", [
+        ("-inf", "negative infinity is not a valid value"),
+        ("-Infinity", "negative infinity is not a valid value"),
+        ("-1e999", "negative infinity is not a valid value"),
+        ("nan", "not a value: 'nan'"), ("NaN", "not a value: 'NaN'"),
+        ("", "could not convert string to float: ''"),
+        ("infinit", "could not convert string to float: 'infinit'"),
+    ])
+    def test_rejected(self, text, message):
+        with pytest.raises(ValueError) as raised:
+            parse_extended(text)
+        assert str(raised.value) == message
 
 
 def test_is_finite():

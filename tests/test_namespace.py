@@ -1,8 +1,6 @@
 """The package namespace resolves on first use, and start-up imports no numpy."""
 
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -10,8 +8,8 @@ import pytest
 
 import divbound
 from divbound import BUILTIN_NAMES
+from helpers import python
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 PUBLIC_NAMES = [
@@ -27,13 +25,6 @@ PUBLIC_NAMES = [
     "scan_to_csv", "sh", "subset_extrema", "subset_totals", "tightness_gap",
     "total_variation_norm", "tv", "tv_distance", "tv_via_density", "verify_bound",
 ]
-
-
-def python(*argv: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter with only this tree's ``src`` on the path."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
-                          timeout=120)
 
 
 class TestNamespace:
