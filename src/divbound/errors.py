@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the range check of counts."""
+"""Exception hierarchy shared across the package, and the check of integer arguments."""
 
 
 class DivboundError(Exception):
@@ -10,12 +10,18 @@ class DomainError(DivboundError, ValueError):
 
 
 def _count(name: str, value, low: int, high: float) -> int:
-    """``int(value)``, or a DomainError naming ``name`` where that lies outside [low, high]."""
-    if (value := int(value)) < low:
+    """``value`` as an int; a DomainError naming ``name`` unless it is an integer in [low, high]."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value:  # 2.7, nan, inf, None, "7": refused, never truncated
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if count < low:
         raise DomainError(f"{name} must be at least {low}")
-    if value > high:
-        raise DomainError(f"{name} must be at most {high}, got {value}")
-    return value
+    if count > high:
+        raise DomainError(f"{name} must be at most {high}, got {count}")
+    return count
 
 
 class UnknownGenerator(DivboundError, ValueError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from decimal import MAX_PREC, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
-from .errors import DomainError
+from .errors import _count
 
 INF = math.inf
 UP = ROUND_CEILING
@@ -40,11 +40,8 @@ def parse_extended(text: str) -> float:
 
 
 def _nearest_format(precision: int) -> str:
-    if int(precision) < 1:
-        raise DomainError(f"precision must be at least 1, got {precision}")
-    if int(precision) > MAX_PRECISION:
-        raise DomainError(f"precision must be at most {MAX_PRECISION}, got {precision}")
-    return f"%.{int(precision)}g"  # prints one float to nearest, as format_extended does
+    precision = _count("precision", precision, 1, MAX_PRECISION)
+    return f"%.{precision}g"  # prints one float to nearest, as format_extended does
 
 
 def format_extended(x: float, precision: int = 9, rounding: str | None = None) -> str:
@@ -55,10 +52,10 @@ def format_extended(x: float, precision: int = 9, rounding: str | None = None) -
     rounding keeps the nearest result unless it lies on the wrong side of ``x``.
     """
     x = float(x)
-    precision = int(precision)
     text = _nearest_format(precision) % x
     if rounding is None or (float(text) >= x if rounding == UP else float(text) <= x):
         return text
+    precision = int(precision)  # an integral value that _nearest_format accepted
     d = Context(prec=precision, rounding=rounding).normalize(Decimal(x))
     exp = d.adjusted()
     if -4 <= exp < precision:  # the layout of float's "g" format

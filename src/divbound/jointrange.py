@@ -87,8 +87,7 @@ def random_pair(n: int, seed: int) -> tuple[ProbabilityMeasure, ProbabilityMeasu
     absolute continuity of the first measure with respect to it.
     """
     n = _count("n", n, 2, sys.maxsize // 16)  # numpy holds at most sys.maxsize bytes: 2n float64
-    if not 0 <= (seed := int(seed)) < _KEY_STRIDE * _KEY_STRIDE:
-        raise DomainError("seed must be an unsigned integer below 2**128")
+    seed = _count("seed", seed, 0, _KEY_STRIDE * _KEY_STRIDE - 1)
     return _measure_pair(_normalized_pair(_exponential_stream(seed)(1, 2 * n)[0]))
 
 
@@ -149,19 +148,11 @@ def _grid_blocks(f: Generator, resolution: int):
     return blocks()
 
 
-def _floored(f: Generator, blocks):
-    """(p, q, divergence, slack, tvs, floors, at) per grid block: ``tvs`` the block's distinct tv
-    values (distinct bit patterns, so -0.0 and 0.0 stay apart), ``floors`` their lower bounds and
-    ``at`` each row's index into both.  lower_bound is elementwise, so a floor is taken once per
-    distinct tv.
-    """
-    for p, q, tv, div in blocks:
-        keys, at = np.unique(tv.view(np.int64), return_inverse=True)
-        tvs = keys.view(np.float64)
-        floors = lower_bound(f, tvs)
-        with np.errstate(invalid="ignore"):
-            slack = np.where(np.isinf(div) & np.isinf(floors[at]), 0.0, div - floors[at])
-        yield p, q, div, slack, tvs, floors, at
+def _floor_and_slack(f: Generator, tv: np.ndarray, div: np.ndarray):
+    # lower_bound per row, and the divergence minus it: 0 where both are infinite
+    floor = lower_bound(f, tv)
+    with np.errstate(invalid="ignore"):
+        return floor, np.where(np.isinf(div) & np.isinf(floor), 0.0, div - floor)
 
 
 def scan_binary(f: Generator, resolution: int) -> list[ScanRecord]:
@@ -172,8 +163,8 @@ def scan_binary(f: Generator, resolution: int) -> list[ScanRecord]:
     slack between them.
     """
     records = []
-    for p, q, div, slack, tvs, floors, at in _floored(f, _grid_blocks(f, resolution)):
-        columns = (p, q, tvs[at], div, floors[at], slack)
+    for p, q, tv, div in _grid_blocks(f, resolution):
+        columns = (p, q, tv, div, *_floor_and_slack(f, tv, div))
         records += map(ScanRecord._make, zip(*(c.tolist() for c in columns)))
     return records
 
@@ -198,8 +189,7 @@ def verify_bound(
     """
     trials = _count("trials", trials, 1, sys.maxsize)  # the length of the longest range
     max_support = _count("max_support", max_support, 2, math.inf)
-    if not 0 <= (seed := int(seed)) < _KEY_STRIDE:
-        raise DomainError("seed must be an unsigned integer below 2**64")
+    seed = _count("seed", seed, 0, _KEY_STRIDE - 1)
     worst, worst_trial, worst_pair = -math.inf, trials, None
     for n in range(2, min(max_support, trials + 1) + 1):
         group = range(n - 2, trials, max_support - 1)
@@ -250,22 +240,24 @@ def scan_to_csv(records: Iterable[ScanRecord], stream: IO[str], precision: int =
 def _write_scan(f: Generator, resolution: int, stream: IO[str], precision: int) -> None:
     """``scan_to_csv(scan_binary(f, resolution), stream, precision)``, written one string per grid
     block from the block's columns, with no records: p and q are formatted once per grid value,
-    tv and lower_bound once per distinct tv, divergence and slack once per row.  The resolution
-    is checked before the header is written.
+    tv and lower_bound once per distinct tv (by bit pattern, so -0.0 and 0.0 stay apart),
+    divergence and slack once per row.  The resolution is checked before the header is written.
     """
     cell = _nearest_format(precision)
-    blocks = _floored(f, _grid_blocks(f, resolution))
+    blocks = _grid_blocks(f, resolution)
     rest = f"%s,{cell},%s,{cell}\n"  # tv, divergence, lower_bound, slack
     stream.write(",".join(ScanRecord._fields) + "\n")
     q_cells = None
-    for p, q, div, slack, tvs, floors, at in blocks:
+    for p, q, tv, div in blocks:
+        floor, slack = _floor_and_slack(f, tv, div)
         if q_cells is None:
             q_cells = [cell % x + "," for x in q[:resolution].tolist()]
         p_cells = []
         for x in p[::resolution].tolist():
             p_cells += [cell % x + ","] * resolution
-        tv_cells = np.array([cell % x for x in tvs.tolist()], dtype=object)[at].tolist()
-        floor_cells = np.array([cell % x for x in floors.tolist()], dtype=object)[at].tolist()
+        _, first, at = np.unique(tv.view(np.int64), return_index=True, return_inverse=True)
+        tv_cells = np.array([cell % x for x in tv[first].tolist()], dtype=object)[at].tolist()
+        floor_cells = np.array([cell % x for x in floor[first].tolist()], dtype=object)[at].tolist()
         cells = [None] * (3 * len(p))
         cells[0::3] = p_cells
         cells[1::3] = q_cells * (len(p) // resolution)

@@ -97,8 +97,8 @@ class SignedMeasure:
         return zip(self.atoms, self.weights.tolist())
 
     def weight(self, atom: str) -> float:
-        """Weight of one atom; atoms outside the support carry weight 0."""
-        i = self._index.get(atom)
+        """Weight of the atom ``str(atom)``, as ids are stored; atoms off the support carry 0."""
+        i = self._index.get(str(atom))
         return 0.0 if i is None else float(self.weights[i])
 
     def total(self, within: Iterable[str] | None = None) -> float:
@@ -175,10 +175,10 @@ class HahnDecomposition:
 
 
 def _selected(m: SignedMeasure, within: Iterable[str] | None) -> np.ndarray:
-    # weights of the atoms in ``within`` (all atoms by default), in atom order
+    # weights of the atoms in ``within`` (all atoms by default, ids as str), in atom order
     if within is None:
         return m.weights
-    keys = set(within)
+    keys = set(map(str, within))
     return m.weights[np.array([a in keys for a in m.atoms], dtype=bool)]
 
 

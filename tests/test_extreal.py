@@ -81,7 +81,7 @@ class TestFormatExtended:
     @pytest.mark.parametrize("precision", [0, -1, -17])
     def test_precision_below_one_is_a_domain_error(self, rounding, precision):
         for x in (0.123, 0.987, -0.5, 0.0, math.inf):
-            with pytest.raises(DomainError, match=f"precision must be at least 1, got {precision}"):
+            with pytest.raises(DomainError, match="^precision must be at least 1$"):
                 format_extended(x, precision, rounding)
 
 

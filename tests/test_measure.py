@@ -94,6 +94,15 @@ class TestConstruction:
     def test_weight_of_missing_atom_is_zero(self):
         assert sm(1.0).weight("zz") == 0.0
 
+    def test_ids_are_looked_up_as_stored(self):
+        # construction stores str(id), so lookups by the given id find the atom too
+        m = SignedMeasure((1, 2), [0.25, -0.75])
+        assert m.atoms == ("1", "2")
+        assert m.weight(1) == m.weight("1") == 0.25
+        assert m.total(within=[1]) == 0.25
+        assert list(subset_totals(m, within=[2])) == [0.0, -0.75]
+        assert subset_extrema(m, within=[1, 2]) == (0.25, -0.75)
+
     def test_value_equality(self):
         assert sm(1.0, -2.0) == sm(1.0, -2.0)
         assert sm(1.0, -2.0) != sm(1.0, -2.5)

@@ -173,6 +173,8 @@ MALFORMED = (
     ("m.csv", "id,w\na1,x\na2\n", "line 2: weight 'x' is not a number"),
     # the quoted id spans lines 3 and 4, so the bad weight is on line 5
     ("m.csv", 'id,w\na,0.5\n"b\nc",0.5\nd,x\n', "line 5: weight 'x' is not a number"),
+    # two bad rows: the first is named
+    ("m.csv", "id,w\na1,0.5\na2,nan\na3,x\n", "line 3: weight must be finite"),
 )
 
 
@@ -202,6 +204,16 @@ def test_csv_field_past_size_limit(tmp_path):
     with pytest.raises(MeasureFormatError) as info:
         read_signed_measure(p)
     assert str(info.value) == "line 2: field larger than field limit (131072)"
+
+
+# an error of the CSV syntax itself wins wherever it occurs, over an earlier bad row or header
+@pytest.mark.parametrize("head, line", (("id,w\na1,x\n", 3), ("a,b\n", 2)),
+                         ids=("after-a-bad-weight", "after-a-wrong-header"))
+def test_csv_syntax_error_wins(tmp_path, head, line):
+    p = write(tmp_path, "m.csv", head + "x" * 200_000 + ",1\n")
+    with pytest.raises(MeasureFormatError) as info:
+        read_signed_measure(p)
+    assert str(info.value) == f"line {line}: field larger than field limit (131072)"
 
 
 def test_duplicate_id_message(tmp_path):
